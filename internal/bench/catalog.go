@@ -117,7 +117,7 @@ type AblationSpec struct {
 // AblationCatalog lists the tracked ablations. batch-vs-sequential is the
 // batched-execution pipeline's speedup entry: the same p=2 QAOA parameter
 // sweep (identical seeds both paths) evaluated once through per-circuit
-// submission and once through a single submit_batch RPC. gate-fusion is the
+// submission and once through a single batch submit RPC. gate-fusion is the
 // fused statevector engine's entry: identical QAOA/TFIM/GHZ circuits run
 // through the unfused per-gate kernels and through the fused program
 // (merged 1q/2q blocks, hoisted diagonal layers, specialized kernels).

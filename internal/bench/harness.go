@@ -371,7 +371,7 @@ func (h *Harness) RunTimelineFigure(cfgSpec DQAOAConfig) (*Experiment, map[strin
 
 // RunBatchAblation measures the batch-vs-sequential ablation of the
 // catalog: the same p=2 QAOA parameter sweep evaluated through K individual
-// submit RPCs (one fully bound circuit each) and through one submit_batch
+// submit RPCs (one fully bound circuit each) and through one batch submit
 // RPC carrying the symbolic ansatz plus K bindings. Seeds are identical on
 // both paths, so only the pipeline differs. The cloud series isolates the
 // round-trip economics (the paper's Fig. 5 motivation); the local series

@@ -36,6 +36,7 @@ import (
 // the split finishes earlier than any single target.
 type AutoExecutor struct {
 	execs    map[string]Executor
+	batch    map[string]BatchExecutor // execs, each through asBatch
 	cache    *ParseCache
 	model    *cost.Model
 	memBytes int64 // dense-amplitude budget candidate sizing respects (0 = unbounded)
@@ -48,7 +49,11 @@ type AutoExecutor struct {
 // submission moves to the next ranked candidate instead of failing, and
 // the result's Route is annotated "fallback:<engine>".
 func NewAutoExecutor(execs map[string]Executor) *AutoExecutor {
-	return &AutoExecutor{execs: execs, cache: NewParseCache(), model: cost.Current(), fallback: true}
+	a := &AutoExecutor{execs: execs, batch: make(map[string]BatchExecutor, len(execs)), cache: NewParseCache(), model: cost.Current(), fallback: true}
+	for name, e := range execs {
+		a.batch[name] = asBatch(e, a.cache)
+	}
+	return a
 }
 
 // WithFallback toggles runtime fallback re-routing (the ablation-faults
@@ -322,55 +327,26 @@ func annotate(res *ExecResult, route string, predictedMS, actualMS float64, spli
 	res.Route = route
 }
 
-// Execute implements Executor: decide, delegate, and annotate the result
-// with the route plus predicted-vs-actual runtime. When the chosen engine
-// fails and fallback is on, the next ranked candidate takes the
-// submission; the first (primary) error is what callers see if every
-// candidate fails.
+// Execute implements Executor as a batch of one: decide, delegate, and
+// annotate the result with the route plus predicted-vs-actual runtime.
 func (a *AutoExecutor) Execute(spec CircuitSpec, opts RunOptions) (ExecResult, error) {
-	cands, err := a.decideRanked(spec, 1)
+	results, err := a.ExecuteBatch(spec, []Bindings{nil}, opts)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	var firstErr error
-	for ci, d := range cands {
-		target, ok := a.execs[d.Backend]
-		if !ok {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("auto: selected backend %q not available", d.Backend)
-			}
-			continue
-		}
-		// applyResources mutates the options: each attempt sizes a fresh copy
-		// so a fallback engine is not constrained by the primary's sizing.
-		attemptOpts := opts
-		applyResources(d.Backend, d.Sub, d.Res, &attemptOpts)
-		start := time.Now()
-		res, err := target.Execute(spec, attemptOpts)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("auto[%s->%s/%s]: %w", d.Rule, d.Backend, d.Sub, err)
-			}
-			continue
-		}
-		route := d.route()
-		if ci > 0 {
-			route = fmt.Sprintf("fallback:%s/%s (after %s/%s)", d.Backend, d.Sub, cands[0].Backend, cands[0].Sub)
-		}
-		annotate(&res, route, d.PredictedMS, float64(time.Since(start))/float64(time.Millisecond), false)
-		return res, nil
-	}
-	return ExecResult{}, firstErr
+	return results[0], nil
 }
 
 // ExecuteBatch implements BatchExecutor: the route is decided once per batch
-// from the shared spec. A homogeneous batch is delegated whole — natively
-// when the target supports batches, otherwise by rebinding each element
-// through the selector's parse cache. When the model predicts a
-// heterogeneous split beats any single engine, the head of the batch runs on
-// the primary and the tail concurrently on the secondary, with the tail's
-// base seed offset so every element keeps the exact seed it would have had
-// unsplit.
+// from the shared spec and the batch is delegated whole. When the chosen
+// engine fails and fallback is on, the next ranked candidate takes the
+// batch; the first (primary) error is what callers see if every candidate
+// fails. When the model predicts a heterogeneous split beats any single
+// engine, the head of the batch runs on the primary and the tail
+// concurrently on the secondary, with the tail's base seed offset so every
+// element keeps the exact seed it would have had unsplit. Results carry
+// the predicted per-element cost and the measured one: the delegated
+// call's wall time divided across its elements.
 func (a *AutoExecutor) ExecuteBatch(spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]ExecResult, error) {
 	cands, err := a.decideRanked(spec, len(bindings))
 	if err != nil {
@@ -387,6 +363,7 @@ func (a *AutoExecutor) ExecuteBatch(spec CircuitSpec, bindings []Bindings, opts 
 	var firstErr error
 	for ci, d := range cands {
 		rule := singleRule(d)
+		start := time.Now()
 		results, err := a.delegateBatch(d.Backend, d.Sub, d.Res, spec, bindings, opts, 0)
 		if err != nil {
 			if firstErr == nil {
@@ -398,12 +375,18 @@ func (a *AutoExecutor) ExecuteBatch(spec CircuitSpec, bindings []Bindings, opts 
 		if ci > 0 {
 			route = fmt.Sprintf("fallback:%s/%s (after %s/%s)", d.Backend, d.Sub, cands[0].Backend, cands[0].Sub)
 		}
+		actual := msPerElement(start, len(results))
 		for i := range results {
-			annotate(&results[i], route, d.PredictedMS, 0, false)
+			annotate(&results[i], route, d.PredictedMS, actual, false)
 		}
 		return results, nil
 	}
 	return nil, firstErr
+}
+
+// msPerElement is the wall time since start shared across n elements.
+func msPerElement(start time.Time, n int) float64 {
+	return float64(time.Since(start)) / float64(time.Millisecond) / float64(max(n, 1))
 }
 
 // singleRule is the rule label when a split decision degrades to a whole-
@@ -430,15 +413,20 @@ func (a *AutoExecutor) executeSplit(d Decision, spec CircuitSpec, bindings []Bin
 		wg         sync.WaitGroup
 		resA, resB []ExecResult
 		errA, errB error
+		msA, msB   float64
 	)
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
+		start := time.Now()
 		resA, errA = a.delegateBatch(d.Backend, d.Sub, d.Res, spec, bindings[:nA], opts, 0)
+		msA = msPerElement(start, nA)
 	}()
 	go func() {
 		defer wg.Done()
+		start := time.Now()
 		resB, errB = a.delegateBatch(d.SplitBackend, d.SplitSub, d.SplitRes, spec, bindings[nA:], opts, nA)
+		msB = msPerElement(start, k-nA)
 	}()
 	wg.Wait()
 	if errA != nil {
@@ -450,11 +438,11 @@ func (a *AutoExecutor) executeSplit(d Decision, spec CircuitSpec, bindings []Bin
 	results := append(resA, resB...)
 	route := d.route()
 	for i := range results {
-		pred := d.PredictedMS
+		pred, actual := d.PredictedMS, msA
 		if i >= nA {
-			pred = d.SplitPredictedMS
+			pred, actual = d.SplitPredictedMS, msB
 		}
-		annotate(&results[i], route, pred, 0, true)
+		annotate(&results[i], route, pred, actual, true)
 	}
 	return results, nil
 }
@@ -463,37 +451,15 @@ func (a *AutoExecutor) executeSplit(d Decision, spec CircuitSpec, bindings []Bin
 // seed so a split tail reproduces exactly the per-element seeds
 // (RunOptions.ForElement) it would have received in the unsplit batch.
 func (a *AutoExecutor) delegateBatch(backend, sub string, res cost.Resources, spec CircuitSpec, bindings []Bindings, opts RunOptions, seedOffset int) ([]ExecResult, error) {
-	target, ok := a.execs[backend]
+	target, ok := a.batch[backend]
 	if !ok {
 		return nil, fmt.Errorf("auto: selected backend %q not available", backend)
 	}
 	applyResources(backend, sub, res, &opts)
 	if seedOffset > 0 {
-		if opts.Seed == 0 {
-			opts.Seed = 1 // ForElement's implicit base
-		}
-		opts.Seed += int64(seedOffset)
+		opts = opts.ForElement(seedOffset)
 	}
-	if be, ok := target.(BatchExecutor); ok {
-		return be.ExecuteBatch(spec, bindings, opts)
-	}
-	base, err := a.cache.Get(spec)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]ExecResult, len(bindings))
-	for i, b := range bindings {
-		bound := base.Bind(b)
-		elemSpec, serr := SpecFromCircuit(bound)
-		if serr != nil {
-			return nil, serr
-		}
-		results[i], err = target.Execute(elemSpec, opts.ForElement(i))
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return target.ExecuteBatch(spec, bindings, opts)
 }
 
 // gradPreference is the fixed adjoint-engine fallback order.

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"qfw/internal/circuit"
 	"qfw/internal/cost"
@@ -137,6 +139,39 @@ func TestAutoExecuteAnnotatesRoute(t *testing.T) {
 	}
 	if res.Extra["auto_routed"] != 1 {
 		t.Fatalf("extra %v", res.Extra)
+	}
+}
+
+// TestAutoStampsPredictedAndActualMS: a routed single run and a routed
+// batch both carry the model's predicted and the measured per-element
+// milliseconds, and their Route strings keep the "backend/sub (rule)" form.
+func TestAutoStampsPredictedAndActualMS(t *testing.T) {
+	aer := &fakeExec{name: "aer", delay: time.Millisecond}
+	a := NewAutoExecutor(map[string]Executor{"aer": aer}).WithModel(cost.NewModel(evenCal()))
+	spec := denseSpec(t)
+	single, err := a.Execute(spec, RunOptions{Shots: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := a.ExecuteBatch(spec, make([]Bindings, 2), RunOptions{Shots: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range append([]ExecResult{single}, batch...) {
+		k := 1
+		if i > 0 {
+			k = len(batch)
+		}
+		d, err := a.Decide(spec, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("%s/%s (%s)", d.Backend, d.Sub, d.Rule); res.Route != want {
+			t.Fatalf("result %d route %q, want %q", i, res.Route, want)
+		}
+		if res.Extra["auto_predicted_ms"] <= 0 || res.Extra["auto_actual_ms"] <= 0 {
+			t.Fatalf("result %d lacks predicted/actual ms: %v", i, res.Extra)
+		}
 	}
 }
 

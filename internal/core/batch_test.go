@@ -97,7 +97,8 @@ func (h *countingHandler) count(method string) int {
 
 func TestBatchSingleRPCSingleParse(t *testing.T) {
 	// The batch acceptance criterion: K bindings over one ansatz issue
-	// exactly one submit_batch RPC and parse the QASM exactly once.
+	// exactly one submit RPC (none per element) and parse the QASM exactly
+	// once.
 	exec := newParamExec("px")
 	qpm := NewQPM(exec, 4, nil)
 	defer qpm.Close()
@@ -131,11 +132,11 @@ func TestBatchSingleRPCSingleParse(t *testing.T) {
 			t.Fatalf("element %d seed %v, want %d", i, res.Extra["seed"], 100+i)
 		}
 	}
-	if got := counter.count("submit_batch"); got != 1 {
-		t.Fatalf("submit_batch RPCs = %d, want 1", got)
+	if got := counter.count("submit"); got != 1 {
+		t.Fatalf("submit RPCs = %d, want 1 for the whole batch", got)
 	}
-	if got := counter.count("submit"); got != 0 {
-		t.Fatalf("submit RPCs = %d, want 0", got)
+	if got := counter.count("wait"); got != 1 {
+		t.Fatalf("wait RPCs = %d, want 1 for the whole batch", got)
 	}
 	if got := exec.cache.Parses(); got != 1 {
 		t.Fatalf("QASM parses = %d, want 1", got)
@@ -237,12 +238,11 @@ func TestQPMRunOnFullQueue(t *testing.T) {
 			t.Fatalf("fill %d: %v", i, err)
 		}
 	}
-	id, err := q.Create(spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := q.Submit(spec, RunOptions{}); err == nil || !strings.Contains(err.Error(), "queue full") {
+		t.Fatalf("Submit on full queue = %v, want queue-full error", err)
 	}
-	if err := q.Run(id); err == nil || !strings.Contains(err.Error(), "queue full") {
-		t.Fatalf("Run on full queue = %v, want queue-full error", err)
+	if n := len(q.List()); n != 3 {
+		t.Fatalf("table holds %d jobs, want 3 (a rejected submit leaves no entry)", n)
 	}
 }
 
@@ -281,9 +281,9 @@ func TestQPMDeleteRunningTask(t *testing.T) {
 }
 
 func TestBatchRPCWireFormat(t *testing.T) {
-	// The submit_batch payload must stay JSON-stable: spec once, bindings
-	// as an array of name->value maps.
-	req := batchSubmitReq{
+	// The submit payload must stay JSON-stable: spec once, bindings as an
+	// array of name->value maps.
+	req := submitReq{
 		Spec:     CircuitSpec{Name: "a", NQubits: 1, QASM: "OPENQASM 2.0;", Params: []string{"t"}},
 		Bindings: []Bindings{{"t": 0.5}},
 		Opts:     RunOptions{Shots: 4},
@@ -292,7 +292,7 @@ func TestBatchRPCWireFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back batchSubmitReq
+	var back submitReq
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}

@@ -71,18 +71,26 @@ func TestSpecRoundTrip(t *testing.T) {
 
 func TestQPMLifecycle(t *testing.T) {
 	exec := &fakeExec{name: "fake"}
-	q := NewQPM(exec, 2, trace.NewRecorder())
-	defer q.Close()
+	g := newGatedExec()
+	blocked := NewQPM(g, 1, trace.NewRecorder())
+	defer blocked.Close()
+	defer g.open()
 	spec := bell(t)
 
-	id, err := q.Create(spec, RunOptions{Shots: 7})
+	// Queued: a job behind a blocker on the single worker.
+	blockWorker(t, blocked, spec)
+	queued, err := blocked.Submit(spec, RunOptions{Shots: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := q.Status(id); st != StatusQueued {
+	if st, _ := blocked.Status(queued); st != StatusQueued {
 		t.Fatalf("status %s, want queued", st)
 	}
-	if err := q.Run(id); err != nil {
+
+	q := NewQPM(exec, 2, trace.NewRecorder())
+	defer q.Close()
+	id, err := q.Submit(spec, RunOptions{Shots: 7})
+	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := q.Wait(id)
@@ -243,7 +251,7 @@ func TestUnknownMethodAndBadPayload(t *testing.T) {
 	if _, err := q.Handle("submit", []byte("not json")); err == nil {
 		t.Fatal("bad payload accepted")
 	}
-	if _, err := q.Create(CircuitSpec{}, RunOptions{}); err == nil {
+	if _, err := q.Submit(CircuitSpec{}, RunOptions{}); err == nil {
 		t.Fatal("empty spec accepted")
 	}
 }

@@ -7,9 +7,14 @@ import "sync"
 // fan-out of the batch and gradient execution paths (local runners and
 // backend executors alike): a K-element batch costs at most pool live
 // executions — and their amplitude arenas — instead of K. n <= 0 returns
-// immediately; pool is clamped to [1, n].
+// immediately; a single element runs on the caller's goroutine; pool is
+// clamped to [1, n].
 func FanOut(n, pool int, fn func(i int)) {
 	if n <= 0 {
+		return
+	}
+	if n == 1 {
+		fn(0)
 		return
 	}
 	if pool > n {

@@ -222,7 +222,7 @@ func TestGradientRetryRecovers(t *testing.T) {
 	}
 }
 
-// TestWaitCtxCancel: a cancelled context unblocks the wait while the task
+// TestWaitCtxCancel: a cancelled context unblocks the wait while the job
 // keeps running.
 func TestWaitCtxCancel(t *testing.T) {
 	exec := &fakeExec{name: "slow", delay: 200 * time.Millisecond}
@@ -234,7 +234,7 @@ func TestWaitCtxCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := q.WaitCtx(ctx, id); err == nil || !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
+	if _, err := q.waitCtx(ctx, id); err == nil || !strings.Contains(err.Error(), context.DeadlineExceeded.Error()) {
 		t.Fatalf("want context deadline error, got %v", err)
 	}
 	// The task itself is unaffected: a plain Wait still completes it.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -44,15 +43,36 @@ func NewFrontend(client *defw.Client, props Properties) (*Frontend, error) {
 // Properties returns the frontend's backend selection.
 func (f *Frontend) Properties() Properties { return f.props }
 
-func (f *Frontend) prepare(c *circuit.Circuit, opts RunOptions) ([]byte, error) {
-	spec, err := SpecFromCircuit(c)
-	if err != nil {
-		return nil, err
-	}
+// call issues one RPC to the backend's QPM, JSON-encoding req and decoding
+// the reply into resp.
+func (f *Frontend) call(method string, req, resp any) error {
+	return defw.CallJSON(f.client, ServiceName(f.props.Backend), method, req, resp)
+}
+
+// submit ships one job — the spec once plus its bindings — in a single
+// "submit" RPC and returns the job id.
+func (f *Frontend) submit(spec CircuitSpec, bindings []Bindings, opts RunOptions, op jobOp) (string, error) {
 	if opts.Subbackend == "" {
 		opts.Subbackend = f.props.Subbackend
 	}
-	return json.Marshal(submitReq{Spec: spec, Opts: opts})
+	var id idMsg
+	err := f.call("submit", submitReq{Spec: spec, Bindings: bindings, Opts: opts, Op: op}, &id)
+	return id.ID, err
+}
+
+// wait blocks in one "wait" RPC until the job finishes and returns its
+// outcome.
+func (f *Frontend) wait(id string) (waitResp, error) {
+	var r waitResp
+	err := f.call("wait", idMsg{ID: id}, &r)
+	return r, err
+}
+
+// status polls a job's state without blocking.
+func (f *Frontend) status(id string) (Status, error) {
+	var st statusMsg
+	err := f.call("status", idMsg{ID: id}, &st)
+	return st.Status, err
 }
 
 // Run executes a circuit synchronously and returns the unified result.
@@ -72,52 +92,29 @@ type Pending struct {
 
 // Result blocks until the task finishes and returns the unified result.
 func (p *Pending) Result() (*Result, error) {
-	payload, err := json.Marshal(idMsg{ID: p.TaskID})
+	r, err := p.front.wait(p.TaskID)
 	if err != nil {
 		return nil, err
 	}
-	out, err := p.front.client.Call(ServiceName(p.front.props.Backend), "wait", payload)
-	if err != nil {
-		return nil, err
-	}
-	var res Result
-	if err := json.Unmarshal(out, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return r.single()
 }
 
 // Status polls the task state without blocking.
-func (p *Pending) Status() (Status, error) {
-	payload, _ := json.Marshal(idMsg{ID: p.TaskID})
-	out, err := p.front.client.Call(ServiceName(p.front.props.Backend), "status", payload)
-	if err != nil {
-		return "", err
-	}
-	var st statusMsg
-	if err := json.Unmarshal(out, &st); err != nil {
-		return "", err
-	}
-	return st.Status, nil
-}
+func (p *Pending) Status() (Status, error) { return p.front.status(p.TaskID) }
 
 // RunAsync submits a circuit and returns immediately with a handle — the
 // non-blocking path variational workloads use to keep many circuit
 // evaluations in flight per optimizer iteration.
 func (f *Frontend) RunAsync(c *circuit.Circuit, opts RunOptions) (*Pending, error) {
-	payload, err := f.prepare(c, opts)
+	spec, err := SpecFromCircuit(c)
 	if err != nil {
 		return nil, err
 	}
-	out, err := f.client.Call(ServiceName(f.props.Backend), "submit", payload)
+	id, err := f.submit(spec, []Bindings{nil}, opts, opSample)
 	if err != nil {
 		return nil, err
 	}
-	var id idMsg
-	if err := json.Unmarshal(out, &id); err != nil {
-		return nil, err
-	}
-	return &Pending{front: f, TaskID: id.ID}, nil
+	return &Pending{front: f, TaskID: id}, nil
 }
 
 // PendingBatch is an in-flight asynchronous batch execution.
@@ -128,75 +125,42 @@ type PendingBatch struct {
 }
 
 // RunBatchAsync ships the (possibly parametric) circuit once plus the
-// binding list in a single submit_batch RPC and returns immediately — the
+// binding list in a single submit RPC and returns immediately — the
 // batched analog of RunAsync. One optimizer iteration's candidate set costs
 // one round trip instead of K.
 func (f *Frontend) RunBatchAsync(c *circuit.Circuit, bindings []Bindings, opts RunOptions) (*PendingBatch, error) {
-	if len(bindings) == 0 {
-		return nil, fmt.Errorf("core: empty batch")
-	}
 	spec, err := SpecFromParametric(c)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Subbackend == "" {
-		opts.Subbackend = f.props.Subbackend
-	}
-	payload, err := json.Marshal(batchSubmitReq{Spec: spec, Bindings: bindings, Opts: opts})
+	id, err := f.submit(spec, bindings, opts, opSample)
 	if err != nil {
 		return nil, err
 	}
-	out, err := f.client.Call(ServiceName(f.props.Backend), "submit_batch", payload)
-	if err != nil {
-		return nil, err
-	}
-	var id idMsg
-	if err := json.Unmarshal(out, &id); err != nil {
-		return nil, err
-	}
-	return &PendingBatch{front: f, BatchID: id.ID, N: len(bindings)}, nil
+	return &PendingBatch{front: f, BatchID: id, N: len(bindings)}, nil
 }
 
 // Results blocks until every element finishes and returns the ordered
 // results. On element failures it returns the partial results (nil at the
 // failed slots) together with the first element error.
 func (p *PendingBatch) Results() ([]*Result, error) {
-	payload, err := json.Marshal(idMsg{ID: p.BatchID})
+	r, err := p.front.wait(p.BatchID)
 	if err != nil {
 		return nil, err
 	}
-	out, err := p.front.client.Call(ServiceName(p.front.props.Backend), "wait_batch", payload)
-	if err != nil {
-		return nil, err
-	}
-	var resp batchWaitResp
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return nil, err
-	}
-	for i, e := range resp.Errs {
+	for i, e := range r.Errs {
 		if e != "" {
-			return resp.Results, fmt.Errorf("core: batch element %d: %s", i, e)
+			return r.Results, fmt.Errorf("core: batch element %d: %s", i, e)
 		}
 	}
-	return resp.Results, nil
+	return r.Results, nil
 }
 
 // Status polls the batch state without blocking.
-func (p *PendingBatch) Status() (Status, error) {
-	payload, _ := json.Marshal(idMsg{ID: p.BatchID})
-	out, err := p.front.client.Call(ServiceName(p.front.props.Backend), "status", payload)
-	if err != nil {
-		return "", err
-	}
-	var st statusMsg
-	if err := json.Unmarshal(out, &st); err != nil {
-		return "", err
-	}
-	return st.Status, nil
-}
+func (p *PendingBatch) Status() (Status, error) { return p.front.status(p.BatchID) }
 
 // RunBatch executes K parameter bindings of one circuit synchronously
-// through a single submit_batch RPC and returns the ordered results.
+// through a single submit RPC and returns the ordered results.
 func (f *Frontend) RunBatch(c *circuit.Circuit, bindings []Bindings, opts RunOptions) ([]*Result, error) {
 	pending, err := f.RunBatchAsync(c, bindings, opts)
 	if err != nil {
@@ -207,15 +171,9 @@ func (f *Frontend) RunBatch(c *circuit.Circuit, bindings []Bindings, opts RunOpt
 
 // Capabilities fetches the backend's Table-1 capability row.
 func (f *Frontend) Capabilities() (Capabilities, error) {
-	out, err := f.client.Call(ServiceName(f.props.Backend), "capabilities", nil)
-	if err != nil {
-		return Capabilities{}, err
-	}
 	var caps Capabilities
-	if err := json.Unmarshal(out, &caps); err != nil {
-		return Capabilities{}, err
-	}
-	return caps, nil
+	err := f.call("capabilities", nil, &caps)
+	return caps, err
 }
 
 // SupportsGradients reports whether the selected backend advertises the
@@ -240,14 +198,11 @@ func (f *Frontend) SupportsGradients() bool {
 }
 
 // RunGradient evaluates opts.Observable and its analytic gradient for K
-// parameter bindings of one symbolic circuit through a single submit_grad
-// RPC. Per-binding gradients come back ordered, each over the circuit's
+// parameter bindings of one symbolic circuit as one grad job: one submit
+// and one wait RPC. Per-binding gradients come back ordered, each over the circuit's
 // sorted parameter names. The backend must advertise the gradient
 // capability (see SupportsGradients).
 func (f *Frontend) RunGradient(c *circuit.Circuit, bindings []Bindings, opts RunOptions) ([]GradResult, error) {
-	if len(bindings) == 0 {
-		return nil, fmt.Errorf("core: empty gradient batch")
-	}
 	if opts.Observable == nil {
 		return nil, fmt.Errorf("core: gradient execution requires an observable")
 	}
@@ -255,55 +210,25 @@ func (f *Frontend) RunGradient(c *circuit.Circuit, bindings []Bindings, opts Run
 	if err != nil {
 		return nil, err
 	}
-	if opts.Subbackend == "" {
-		opts.Subbackend = f.props.Subbackend
-	}
-	payload, err := json.Marshal(batchSubmitReq{Spec: spec, Bindings: bindings, Opts: opts})
+	id, err := f.submit(spec, bindings, opts, opGrad)
 	if err != nil {
 		return nil, err
 	}
-	out, err := f.client.Call(ServiceName(f.props.Backend), "submit_grad", payload)
+	r, err := f.wait(id)
 	if err != nil {
 		return nil, err
 	}
-	var id idMsg
-	if err := json.Unmarshal(out, &id); err != nil {
-		return nil, err
-	}
-	payload, err = json.Marshal(idMsg{ID: id.ID})
-	if err != nil {
-		return nil, err
-	}
-	out, err = f.client.Call(ServiceName(f.props.Backend), "wait_grad", payload)
-	if err != nil {
-		return nil, err
-	}
-	var resp gradWaitResp
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(bindings) {
-		return nil, fmt.Errorf("core: gradient batch returned %d results for %d bindings", len(resp.Results), len(bindings))
-	}
-	return resp.Results, nil
+	return r.gradients()
 }
 
 // Delete removes a finished task from the QPM.
 func (f *Frontend) Delete(taskID string) error {
-	payload, _ := json.Marshal(idMsg{ID: taskID})
-	_, err := f.client.Call(ServiceName(f.props.Backend), "delete", payload)
-	return err
+	return f.call("delete", idMsg{ID: taskID}, nil)
 }
 
 // List fetches the QPM's task table.
 func (f *Frontend) List() (map[string]Status, error) {
-	out, err := f.client.Call(ServiceName(f.props.Backend), "list", nil)
-	if err != nil {
-		return nil, err
-	}
 	var m map[string]Status
-	if err := json.Unmarshal(out, &m); err != nil {
-		return nil, err
-	}
-	return m, nil
+	err := f.call("list", nil, &m)
+	return m, err
 }

@@ -242,9 +242,6 @@ func TestQuiesceClosesAdmissionAndDrainWaits(t *testing.T) {
 	if _, err := q.SubmitGradient(spec, []Bindings{{"t": 0.1}}, RunOptions{Observable: &Observable{Fields: []float64{1, 0}}}); !IsDraining(err) {
 		t.Fatalf("post-quiesce gradient returned %v, want ErrDraining", err)
 	}
-	if _, err := q.Create(spec, RunOptions{Shots: 1}); !IsDraining(err) {
-		t.Fatalf("post-quiesce create returned %v, want ErrDraining", err)
-	}
 
 	g.open()
 	if !q.Drain(5 * time.Second) {
@@ -252,5 +249,54 @@ func TestQuiesceClosesAdmissionAndDrainWaits(t *testing.T) {
 	}
 	if q.Pending() != 0 {
 		t.Fatalf("pending %d after drain", q.Pending())
+	}
+}
+
+// TestJobTableBoundedWithoutDelete: clients that never call Delete cannot
+// grow the table without bound. Jobs whose result a wait returned are
+// evicted oldest-first beyond maxRetained; jobs nobody waited on stay, and
+// Delete right after Wait still finds its job.
+func TestJobTableBoundedWithoutDelete(t *testing.T) {
+	spec := bell(t)
+	newQ := func() *QPM {
+		q := NewQPM(&fakeBatchExec{fakeExec: fakeExec{name: "fake"}}, 2, trace.NewRecorder())
+		t.Cleanup(q.Close)
+		return q
+	}
+	submit := func(q *QPM) string {
+		id, err := q.Submit(spec, RunOptions{Shots: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	runWaited := func(q *QPM, n int) {
+		for i := 0; i < n; i++ {
+			if _, err := q.Wait(submit(q)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	q := newQ()
+	runWaited(q, 10000)
+	if n := len(q.List()); n > maxRetained {
+		t.Fatalf("table holds %d jobs after 10k submit+wait, want <= %d", n, maxRetained)
+	}
+	id := submit(q)
+	if _, err := q.Wait(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Delete(id); err != nil {
+		t.Fatalf("Delete right after Wait: %v", err)
+	}
+
+	q = newQ()
+	unwaited := []string{submit(q), submit(q), submit(q)}
+	runWaited(q, 2*maxRetained)
+	for _, id := range unwaited {
+		if _, err := q.Status(id); err != nil {
+			t.Fatalf("job %s was evicted before anyone waited on it: %v", id, err)
+		}
 	}
 }

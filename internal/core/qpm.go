@@ -12,108 +12,90 @@ import (
 	"qfw/internal/trace"
 )
 
-// task is one circuit-execution job tracked by a QPM.
-type task struct {
-	id       string
-	spec     CircuitSpec
-	opts     RunOptions
-	deadline time.Time // zero = none; from RunOptions.TimeoutMS at creation
+// jobOp selects what a job computes for each of its bindings.
+type jobOp string
 
-	mu        sync.Mutex
-	status    Status
-	cancelled bool
-	result    *Result
-	errMsg    string
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	done      chan struct{}
-}
+const (
+	// opSample executes the circuit: counts, plus <H> when an observable
+	// is attached. It is the zero value, so a submit without "op" samples.
+	opSample jobOp = ""
+	// opGrad evaluates the observable and its analytic gradient.
+	opGrad jobOp = "grad"
+)
 
-func (t *task) snapshotStatus() Status {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.status
-}
-
-// batchTask is one parametric batch: a single transmitted spec plus K
-// parameter bindings, fanned across the QRC workers in contiguous chunks
-// and reassembled in order.
-type batchTask struct {
+// job is the QPM's one unit of work: a spec plus its bindings and the
+// operation to run on them. A single run is a sample job with the one
+// binding nil; a batch ships K bindings; a gradient is a grad job.
+type job struct {
 	id       string
 	spec     CircuitSpec
 	bindings []Bindings
 	opts     RunOptions
+	op       jobOp
 	created  time.Time
-	deadline time.Time
+	deadline time.Time // zero = none; from RunOptions.TimeoutMS at submission
+	retired  bool      // result returned by a wait; guarded by QPM.mu
 
 	mu        sync.Mutex
 	status    Status
 	cancelled bool
-	results   []*Result
-	errs      []string
-	pending   int
+	results   []*Result    // sample jobs, one per binding (nil = failed)
+	grads     []GradResult // grad jobs, one per binding
+	errs      []string     // one per binding, "" for success
 	done      chan struct{}
 }
 
-func (bt *batchTask) snapshotStatus() Status {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	return bt.status
+func (j *job) snapshotStatus() Status {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status
 }
 
-// gradTask is one gradient batch: a single parametric spec plus K bindings,
-// evaluated through the backend's GradientExecutor as one work item (the
-// adjoint engine fans bindings across its own worker pool).
-type gradTask struct {
-	id       string
-	created  time.Time
-	deadline time.Time
-
-	mu        sync.Mutex
-	status    Status
-	cancelled bool
-	results   []GradResult
-	errMsg    string
-	done      chan struct{}
+// what names the job in spans and error messages.
+func (j *job) what() string {
+	if j.op == opGrad {
+		return "exec-grad:" + j.spec.Name
+	}
+	return "exec:" + j.spec.Name
 }
 
-func (gt *gradTask) snapshotStatus() Status {
-	gt.mu.Lock()
-	defer gt.mu.Unlock()
-	return gt.status
-}
+// maxRetained bounds how many jobs whose result a wait has already
+// returned stay in the table; beyond it the oldest is evicted, so clients
+// that never call Delete cannot grow a long-lived QPM without bound. Jobs
+// nobody has waited on are never evicted.
+const maxRetained = 1024
 
 // QPM is a Quantum Platform Manager service instance for one backend: it
-// owns the task queue and circuit lifecycle and dispatches work round-robin
-// to its QRC worker threads. Work items are closures, so single tasks and
-// batch chunks share the same queue and worker pool.
+// owns the job queue and lifecycle and dispatches jobs to its QRC worker
+// threads. Single runs, batches and gradients are all jobs, so they share
+// one table, one queue and one runner.
 type QPM struct {
-	backend  string
-	exec     Executor
-	rec      *trace.Recorder
-	cache    *ParseCache
-	queue    chan func(worker string)
-	queueCap int
-	nextID   atomic.Int64
-	inflight atomic.Int64 // queued + running work items
-	busyNS   atomic.Int64 // cumulative worker busy time (utilization source)
-	mu       sync.Mutex
-	tasks    map[string]*task
-	batches  map[string]*batchTask
-	grads    map[string]*gradTask
-	closed   bool
-	quiesced bool
-	workers  int
-	workerWG sync.WaitGroup
-	retry    faults.Policy // guarded by mu; see SetRetryPolicy
+	backend   string
+	exec      Executor
+	batch     BatchExecutor    // exec, or exec behind the bind-and-Execute adapter
+	grad      GradientExecutor // nil when the backend cannot differentiate
+	rec       *trace.Recorder
+	cache     *ParseCache
+	queue     chan *job
+	nextID    atomic.Int64
+	inflight  atomic.Int64 // queued + running jobs
+	busyNS    atomic.Int64 // cumulative worker busy time (utilization source)
+	mu        sync.Mutex
+	jobs      map[string]*job
+	retired   [maxRetained]string // ring of waited-on job ids, oldest at retiredAt
+	retiredAt int
+	closed    bool
+	quiesced  bool
+	workers   int
+	workerWG  sync.WaitGroup
+	retry     faults.Policy // guarded by mu; see SetRetryPolicy
 
 	// Resolved metric handles (shared registry, labeled by backend).
 	mTasks, mFails, mRetries *trace.Counter
 	hQueue, hExec            *trace.Histogram
 }
 
-// defaultQueueCap is the QPM task-queue depth (tests shrink it via
+// defaultQueueCap is the QPM job-queue depth (tests shrink it via
 // newQPMWithQueueCap to exercise the queue-full path).
 const defaultQueueCap = 1024
 
@@ -134,18 +116,17 @@ func newQPMWithQueueCap(exec Executor, workers int, rec *trace.Recorder, queueCa
 		queueCap = defaultQueueCap
 	}
 	q := &QPM{
-		backend:  exec.Name(),
-		exec:     exec,
-		rec:      rec,
-		cache:    NewParseCache(),
-		queue:    make(chan func(worker string), queueCap),
-		queueCap: queueCap,
-		tasks:    make(map[string]*task),
-		batches:  make(map[string]*batchTask),
-		grads:    make(map[string]*gradTask),
-		workers:  workers,
-		retry:    DefaultRetryPolicy(),
+		backend: exec.Name(),
+		exec:    exec,
+		rec:     rec,
+		cache:   NewParseCache(),
+		queue:   make(chan *job, queueCap),
+		jobs:    make(map[string]*job),
+		workers: workers,
+		retry:   DefaultRetryPolicy(),
 	}
+	q.batch = asBatch(exec, q.cache)
+	q.grad, _ = exec.(GradientExecutor)
 	met := rec.Metrics()
 	q.mTasks = met.Counter(trace.LabeledName("qfw_qpm_tasks_total", "backend", q.backend))
 	q.mFails = met.Counter(trace.LabeledName("qfw_qpm_failures_total", "backend", q.backend))
@@ -178,8 +159,8 @@ func (q *QPM) Recorder() *trace.Recorder { return q.rec }
 func (q *QPM) BusyNS() int64 { return q.busyNS.Load() }
 
 // ParseCount reports how many QASM parses this QPM's spec cache performed
-// (only the fallback path for executors without native batch support parses
-// at the QPM; batch-native executors parse in their own caches).
+// (only the adapter for executors without native batch support parses at
+// the QPM; batch-native executors parse in their own caches).
 func (q *QPM) ParseCount() int64 { return q.cache.Parses() }
 
 // DefaultRetryPolicy is the QPM's per-execution retry: up to three
@@ -258,66 +239,43 @@ func guarded[T any](deadline time.Time, what string, call func() (T, error)) (T,
 	}
 }
 
-// execGuarded is one single-circuit execution under the full fault
-// envelope: panic isolation, deadline, and transient retry. Each attempt
-// records an "executor:" span on the worker's row (nesting under the
-// caller's "exec:" span in the Chrome trace), and the returned RetryStats
-// separate backoff time from execution time in the Timings breakdown.
-func (q *QPM) execGuarded(spec CircuitSpec, opts RunOptions, deadline time.Time, what, worker string) (ExecResult, faults.RetryStats, error) {
-	var res ExecResult
+// retried is one executor call under the full fault envelope: panic
+// isolation, the job deadline, and transient retry. Each attempt records
+// an "executor:" span on the worker's row (nesting under the job's span
+// in the Chrome trace), and the returned RetryStats separate backoff time
+// from execution time in the Timings breakdown.
+func retried[T any](q *QPM, j *job, what, worker string, call func() (T, error)) (T, faults.RetryStats, error) {
+	var v T
 	rs, err := q.retryPolicy().DoStats(func(int) error {
-		finish := q.rec.Span("executor:"+spec.Name, worker)
+		finish := q.rec.Span("executor:"+j.spec.Name, worker)
 		defer finish()
 		var err error
-		res, err = guarded(deadline, what, func() (ExecResult, error) {
-			return q.exec.Execute(spec, opts)
-		})
+		v, err = guarded(j.deadline, what, call)
 		return err
 	})
 	if rs.Attempts > 1 {
 		q.mRetries.Add(int64(rs.Attempts - 1))
 	}
-	return res, rs, err
+	return v, rs, err
 }
 
-// qrcWorker is one Quantum Resource Controller thread: it pulls queued work
-// items and triggers backend executions (MPI runs for local simulators,
-// REST calls for cloud backends). Busy time accumulates per work item for
-// the utilization time series.
+// qrcWorker is one Quantum Resource Controller thread: it pulls queued jobs
+// and triggers backend executions (MPI runs for local simulators, REST
+// calls for cloud backends). Busy time accumulates per job for the
+// utilization time series.
 func (q *QPM) qrcWorker(id int) {
 	defer q.workerWG.Done()
 	worker := fmt.Sprintf("%s/qrc-%d", q.backend, id)
-	for job := range q.queue {
+	for j := range q.queue {
 		start := time.Now()
-		job(worker)
+		q.run(j, worker)
 		q.busyNS.Add(int64(time.Since(start)))
 		q.inflight.Add(-1)
 	}
 }
 
-// enqueue submits a work item without blocking; it fails when the queue is
-// full or the QPM is closed or quiesced. The mutex guards against a
-// concurrent Close racing the channel send.
-func (q *QPM) enqueue(job func(worker string)) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return fmt.Errorf("qpm[%s]: closed", q.backend)
-	}
-	if q.quiesced {
-		return fmt.Errorf("qpm[%s]: %w", q.backend, ErrDraining)
-	}
-	select {
-	case q.queue <- job:
-		q.inflight.Add(1)
-		return nil
-	default:
-		return fmt.Errorf("qpm[%s]: queue full", q.backend)
-	}
-}
-
-// Quiesce closes admission without stopping the workers: subsequent Create
-// and Submit* calls fail with ErrDraining while already-queued work keeps
+// Quiesce closes admission without stopping the workers: subsequent
+// submissions fail with ErrDraining while already-queued work keeps
 // executing. It is the first half of a graceful drain.
 func (q *QPM) Quiesce() {
 	q.mu.Lock()
@@ -325,7 +283,7 @@ func (q *QPM) Quiesce() {
 	q.mu.Unlock()
 }
 
-// Pending reports how many work items are queued or running.
+// Pending reports how many jobs are queued or running.
 func (q *QPM) Pending() int64 { return q.inflight.Load() }
 
 // Drain quiesces the QPM and waits up to timeout for in-flight work to
@@ -343,53 +301,228 @@ func (q *QPM) Drain(timeout time.Duration) bool {
 	return true
 }
 
-// runTask executes one single-circuit task on a QRC worker.
-func (q *QPM) runTask(t *task, worker string) {
-	t.mu.Lock()
-	if t.cancelled {
-		// Deleted while queued: the work item reaches a worker but must not
-		// trigger a backend execution.
-		t.status = StatusFailed
-		t.errMsg = "cancelled"
-		close(t.done)
-		t.mu.Unlock()
+// Close drains the queue and stops the workers.
+func (q *QPM) Close() {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
 		return
 	}
-	t.status = StatusRunning
-	t.started = time.Now()
-	t.mu.Unlock()
-
-	finish := q.rec.Span("exec:"+t.spec.Name, worker)
-	res, rs, err := q.execGuarded(t.spec, t.opts, t.deadline, "exec:"+t.spec.Name, worker)
-	finish()
-
-	t.mu.Lock()
-	t.finished = time.Now()
-	if err != nil {
-		t.status = StatusFailed
-		t.errMsg = err.Error()
-		q.mFails.Inc()
-	} else {
-		t.status = StatusDone
-		tm := taskTimings(t.created, t.started, t.finished, rs)
-		q.observeTimings(tm)
-		t.result = &Result{
-			TaskID:     t.id,
-			Backend:    q.backend,
-			Subbackend: t.opts.Subbackend,
-			Counts:     res.Counts,
-			ExpVal:     res.ExpVal,
-			TruncErr:   res.TruncErr,
-			Extra:      res.Extra,
-			Route:      res.Route,
-			Timings:    tm,
-		}
-	}
-	close(t.done)
-	t.mu.Unlock()
+	q.closed = true
+	close(q.queue)
+	q.mu.Unlock()
+	q.workerWG.Wait()
 }
 
-// taskTimings assembles the breakdown of one executed work item: queue
+// submit is the one admission path: it validates the job, registers it and
+// enqueues it without blocking. It fails on an empty spec or binding list,
+// a gradient against a non-differentiating backend, a closed or draining
+// QPM, or a full queue; a rejected job leaves no trace in the table.
+func (q *QPM) submit(spec CircuitSpec, bindings []Bindings, opts RunOptions, op jobOp) (string, error) {
+	switch {
+	case op != opSample && op != opGrad:
+		return "", fmt.Errorf("qpm[%s]: unknown job op %q", q.backend, op)
+	case op == opGrad && q.grad == nil:
+		return "", fmt.Errorf("qpm[%s]: backend does not support gradient execution", q.backend)
+	case spec.QASM == "":
+		return "", fmt.Errorf("qpm[%s]: empty circuit spec", q.backend)
+	case len(bindings) == 0:
+		return "", fmt.Errorf("qpm[%s]: empty bindings", q.backend)
+	}
+	created := time.Now()
+	j := &job{
+		id:       fmt.Sprintf("%s-%d", q.backend, q.nextID.Add(1)),
+		spec:     spec,
+		bindings: bindings,
+		opts:     opts,
+		op:       op,
+		created:  created,
+		deadline: deadlineFor(created, opts),
+		status:   StatusQueued,
+		errs:     make([]string, len(bindings)),
+		done:     make(chan struct{}),
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return "", fmt.Errorf("qpm[%s]: closed", q.backend)
+	}
+	if q.quiesced {
+		return "", fmt.Errorf("qpm[%s]: %w", q.backend, ErrDraining)
+	}
+	select {
+	case q.queue <- j:
+	default:
+		return "", fmt.Errorf("qpm[%s]: queue full", q.backend)
+	}
+	q.inflight.Add(1)
+	q.jobs[j.id] = j
+	return j.id, nil
+}
+
+// Submit enqueues one circuit execution: a sample job whose single
+// binding is nil.
+func (q *QPM) Submit(spec CircuitSpec, opts RunOptions) (string, error) {
+	return q.submit(spec, []Bindings{nil}, opts, opSample)
+}
+
+// SubmitBatch enqueues one parametric batch: a single spec plus K
+// bindings, executed as one job; WaitBatch returns the ordered results.
+func (q *QPM) SubmitBatch(spec CircuitSpec, bindings []Bindings, opts RunOptions) (string, error) {
+	return q.submit(spec, bindings, opts, opSample)
+}
+
+// SubmitGradient enqueues one gradient batch. The backend must implement
+// GradientExecutor — callers probe Capabilities.Gradients first; a submit
+// against a non-differentiating backend fails immediately.
+func (q *QPM) SubmitGradient(spec CircuitSpec, bindings []Bindings, opts RunOptions) (string, error) {
+	return q.submit(spec, bindings, opts, opGrad)
+}
+
+// run executes one job on a QRC worker. A grad job or a one-element
+// sample job runs under the retry envelope. A multi-element sample job
+// runs once as a whole; if that call fails it degrades to one-element
+// runs with the same per-element seeds, so elements that recover are
+// bit-identical to a clean run and one bad element costs only itself.
+func (q *QPM) run(j *job, worker string) {
+	j.mu.Lock()
+	cancelled := j.cancelled
+	if !cancelled {
+		j.status = StatusRunning
+	}
+	j.mu.Unlock()
+
+	var results []*Result
+	var grads []GradResult
+	if cancelled {
+		// Deleted while queued: the job reaches a worker but must not
+		// trigger a backend execution.
+		j.errs[0] = "cancelled"
+	} else {
+		finish := q.rec.Span(j.what(), worker)
+		switch {
+		case j.op == opGrad:
+			grads = q.runGrad(j, worker)
+		case len(j.bindings) == 1:
+			results = []*Result{q.runElement(j, 0, worker)}
+		default:
+			results = q.runWhole(j, worker)
+		}
+		finish()
+	}
+
+	j.mu.Lock()
+	j.results, j.grads = results, grads
+	j.status = StatusDone
+	var failed int64
+	for _, e := range j.errs {
+		if e != "" {
+			failed++
+		}
+	}
+	if failed > 0 {
+		j.status = StatusFailed
+		q.mFails.Add(failed)
+	}
+	close(j.done)
+	j.mu.Unlock()
+}
+
+// runGrad evaluates a grad job as one executor call under the retry
+// envelope (the adjoint engine fans bindings across its own worker pool).
+// A failure is recorded against the job's first binding.
+func (q *QPM) runGrad(j *job, worker string) []GradResult {
+	started := time.Now()
+	grads, rs, err := retried(q, j, j.what(), worker, func() ([]GradResult, error) {
+		return q.grad.ExecuteGradient(j.spec, j.bindings, j.opts)
+	})
+	if err != nil {
+		j.errs[0] = err.Error()
+		return nil
+	}
+	q.observeTimings(taskTimings(j.created, started, time.Now(), rs))
+	return grads
+}
+
+// runWhole hands every binding of a multi-element job to the executor in
+// one call; ExecMS per element is the call's mean (elements share it).
+func (q *QPM) runWhole(j *job, worker string) []*Result {
+	results := make([]*Result, len(j.bindings))
+	started := time.Now()
+	execFinish := q.rec.Span("executor:"+j.spec.Name, worker)
+	out, err := guarded(j.deadline, j.what(), func() ([]ExecResult, error) {
+		return q.execBatch(j.spec, j.bindings, j.opts)
+	})
+	execFinish()
+	if err != nil {
+		for g := range j.bindings {
+			results[g] = q.runElement(j, g, worker)
+		}
+		return results
+	}
+	perElem := time.Since(started) / time.Duration(len(out))
+	for i, res := range out {
+		results[i] = q.result(j, i, res, started, perElem, faults.RetryStats{Attempts: 1})
+	}
+	return results
+}
+
+// runElement executes binding g of a sample job alone under the retry
+// envelope, with the seed it has in the whole job (ForElement(g)). A
+// failure is recorded in the job's errs and yields a nil result.
+func (q *QPM) runElement(j *job, g int, worker string) *Result {
+	what := j.what()
+	if len(j.bindings) > 1 {
+		what = fmt.Sprintf("%s[%d]", what, g)
+	}
+	start := time.Now()
+	res, rs, err := retried(q, j, what, worker, func() (ExecResult, error) {
+		out, err := q.execBatch(j.spec, j.bindings[g:g+1], j.opts.ForElement(g))
+		if err != nil {
+			return ExecResult{}, err
+		}
+		return out[0], nil
+	})
+	if err != nil {
+		j.errs[g] = err.Error()
+		return nil
+	}
+	return q.result(j, g, res, start, time.Since(start), rs)
+}
+
+// execBatch is one executor call that must return a result per binding.
+func (q *QPM) execBatch(spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]ExecResult, error) {
+	out, err := q.batch.ExecuteBatch(spec, bindings, opts)
+	if err == nil && len(out) != len(bindings) {
+		err = fmt.Errorf("qpm[%s]: batch executor returned %d results for %d bindings", q.backend, len(out), len(bindings))
+	}
+	return out, err
+}
+
+// result marshals element i's ExecResult into the unified format. A
+// single-element job's result carries the job id itself, so a single run's
+// TaskID is what Delete takes; batch elements are "id#i".
+func (q *QPM) result(j *job, i int, res ExecResult, started time.Time, exec time.Duration, rs faults.RetryStats) *Result {
+	tm := taskTimings(j.created, started, started.Add(exec), rs)
+	q.observeTimings(tm)
+	id := j.id
+	if len(j.bindings) > 1 {
+		id = fmt.Sprintf("%s#%d", j.id, i)
+	}
+	return &Result{
+		TaskID:     id,
+		Backend:    q.backend,
+		Subbackend: j.opts.Subbackend,
+		Counts:     res.Counts,
+		ExpVal:     res.ExpVal,
+		TruncErr:   res.TruncErr,
+		Extra:      res.Extra,
+		Route:      res.Route,
+		Timings:    tm,
+	}
+}
+
+// taskTimings assembles the breakdown of one executed element: queue
 // wait, execution wall time with retry backoff split out, and the total
 // as the exact component sum (so clients can always reconcile the parts
 // against the whole).
@@ -406,582 +539,167 @@ func taskTimings(created, started, finished time.Time, rs faults.RetryStats) Tim
 	return tm
 }
 
-// observeTimings feeds one completed work item into the latency
-// histograms and task counter.
+// observeTimings feeds one completed element into the latency histograms
+// and task counter.
 func (q *QPM) observeTimings(tm Timings) {
 	q.mTasks.Inc()
 	q.hQueue.Observe(tm.QueueMS)
 	q.hExec.Observe(tm.ExecMS)
 }
 
-// Close drains the queue and stops the workers.
-func (q *QPM) Close() {
+// waitResp is a finished job's outcome and the reply of the "wait" RPC:
+// ordered per-binding results (sample jobs) or gradients (grad jobs),
+// with parallel error strings ("" for success).
+type waitResp struct {
+	Results []*Result    `json:"results,omitempty"`
+	Grads   []GradResult `json:"grads,omitempty"`
+	Errs    []string     `json:"errs,omitempty"`
+}
+
+// err returns the first element error, or nil.
+func (r waitResp) err() error {
+	for _, e := range r.Errs {
+		if e != "" {
+			return fmt.Errorf("%s", e)
+		}
+	}
+	return nil
+}
+
+// single returns the one result of a single run.
+func (r waitResp) single() (*Result, error) {
+	if err := r.err(); err != nil {
+		return nil, err
+	}
+	if len(r.Results) != 1 {
+		return nil, fmt.Errorf("core: job returned %d results, want 1", len(r.Results))
+	}
+	return r.Results[0], nil
+}
+
+// gradients returns the per-binding gradients of a grad job.
+func (r waitResp) gradients() ([]GradResult, error) {
+	if err := r.err(); err != nil {
+		return nil, err
+	}
+	if len(r.Grads) != len(r.Errs) {
+		return nil, fmt.Errorf("core: gradient batch returned %d results for %d bindings", len(r.Grads), len(r.Errs))
+	}
+	return r.Grads, nil
+}
+
+// waitCtx is the one wait: it blocks until the job finishes or ctx ends
+// (the job keeps running then), and marks the job retired so the table
+// can evict it once maxRetained newer results have been returned.
+func (q *QPM) waitCtx(ctx context.Context, id string) (waitResp, error) {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
-	q.closed = true
-	close(q.queue)
-	q.mu.Unlock()
-	q.workerWG.Wait()
-}
-
-// Create registers a circuit+options as a new task without running it.
-func (q *QPM) Create(spec CircuitSpec, opts RunOptions) (string, error) {
-	if spec.QASM == "" {
-		return "", fmt.Errorf("qpm[%s]: empty circuit spec", q.backend)
-	}
-	id := fmt.Sprintf("%s-%d", q.backend, q.nextID.Add(1))
-	created := time.Now()
-	t := &task{
-		id:       id,
-		spec:     spec,
-		opts:     opts,
-		deadline: deadlineFor(created, opts),
-		status:   StatusQueued,
-		created:  created,
-		done:     make(chan struct{}),
-	}
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return "", fmt.Errorf("qpm[%s]: closed", q.backend)
-	}
-	if q.quiesced {
-		q.mu.Unlock()
-		return "", fmt.Errorf("qpm[%s]: %w", q.backend, ErrDraining)
-	}
-	q.tasks[id] = t
-	q.mu.Unlock()
-	return id, nil
-}
-
-// Run enqueues a previously created task.
-func (q *QPM) Run(id string) error {
-	t, err := q.lookup(id)
-	if err != nil {
-		return err
-	}
-	return q.enqueue(func(worker string) { q.runTask(t, worker) })
-}
-
-// Submit is Create followed by Run.
-func (q *QPM) Submit(spec CircuitSpec, opts RunOptions) (string, error) {
-	id, err := q.Create(spec, opts)
-	if err != nil {
-		return "", err
-	}
-	return id, q.Run(id)
-}
-
-// SubmitBatch registers and enqueues one parametric batch: a single spec
-// plus K bindings. Batch-native executors receive the whole batch as one
-// work item (so e.g. the cloud backend really maps it onto one REST job
-// array and parallelism is the executor's choice); executors without batch
-// support are fanned across the QRC workers in contiguous chunks. Results
-// come back ordered via WaitBatch. Chunks that cannot be enqueued (queue
-// full) fail their elements instead of failing the whole batch.
-func (q *QPM) SubmitBatch(spec CircuitSpec, bindings []Bindings, opts RunOptions) (string, error) {
-	if spec.QASM == "" {
-		return "", fmt.Errorf("qpm[%s]: empty circuit spec", q.backend)
-	}
-	if len(bindings) == 0 {
-		return "", fmt.Errorf("qpm[%s]: empty batch", q.backend)
-	}
-	id := fmt.Sprintf("%s-batch-%d", q.backend, q.nextID.Add(1))
-	k := len(bindings)
-	nchunks := 1
-	if _, ok := q.exec.(BatchExecutor); !ok {
-		nchunks = q.workers
-		if nchunks > k {
-			nchunks = k
-		}
-	}
-	created := time.Now()
-	bt := &batchTask{
-		id:       id,
-		spec:     spec,
-		bindings: bindings,
-		opts:     opts,
-		created:  created,
-		deadline: deadlineFor(created, opts),
-		status:   StatusQueued,
-		results:  make([]*Result, k),
-		errs:     make([]string, k),
-		pending:  nchunks,
-		done:     make(chan struct{}),
-	}
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return "", fmt.Errorf("qpm[%s]: closed", q.backend)
-	}
-	if q.quiesced {
-		q.mu.Unlock()
-		return "", fmt.Errorf("qpm[%s]: %w", q.backend, ErrDraining)
-	}
-	q.batches[id] = bt
-	q.mu.Unlock()
-	for w := 0; w < nchunks; w++ {
-		lo, hi := w*k/nchunks, (w+1)*k/nchunks
-		if err := q.enqueue(func(worker string) { q.runBatchChunk(bt, lo, hi, worker) }); err != nil {
-			for i := lo; i < hi; i++ {
-				bt.errs[i] = err.Error()
-			}
-			q.finishChunk(bt)
-		}
-	}
-	return id, nil
-}
-
-// runBatchChunk executes bindings[lo:hi] of a batch on one QRC worker:
-// batch-native executors get the whole chunk in one call (rebinding into
-// their cached parse per element); plain executors fall back to bind →
-// serialize → Execute per element through the QPM's own parse cache.
-func (q *QPM) runBatchChunk(bt *batchTask, lo, hi int, worker string) {
-	bt.mu.Lock()
-	if bt.cancelled {
-		// The batch was deleted while this chunk sat in the queue: fail its
-		// elements without touching the backend.
-		for i := lo; i < hi; i++ {
-			bt.errs[i] = "cancelled"
-		}
-		bt.mu.Unlock()
-		q.finishChunk(bt)
-		return
-	}
-	if bt.status == StatusQueued {
-		bt.status = StatusRunning
-	}
-	bt.mu.Unlock()
-	started := time.Now()
-	finish := q.rec.Span(fmt.Sprintf("exec-batch:%s[%d:%d]", bt.spec.Name, lo, hi), worker)
-	defer func() {
-		finish()
-		q.finishChunk(bt)
-	}()
-	sub := bt.bindings[lo:hi]
-	// Element seeds are globally indexed: the chunk base offset keeps seeds
-	// identical to a serial loop over the full batch.
-	chunkOpts := bt.opts.ForElement(lo)
-	if be, ok := q.exec.(BatchExecutor); ok {
-		execFinish := q.rec.Span("executor:"+bt.spec.Name, worker)
-		results, err := guarded(bt.deadline, fmt.Sprintf("exec-batch:%s[%d:%d]", bt.spec.Name, lo, hi), func() ([]ExecResult, error) {
-			return be.ExecuteBatch(bt.spec, sub, chunkOpts)
-		})
-		execFinish()
-		elapsed := time.Since(started)
-		if err == nil && len(results) != len(sub) {
-			err = fmt.Errorf("qpm[%s]: batch executor returned %d results for %d bindings", q.backend, len(results), len(sub))
-		}
-		if err != nil {
-			// A failing chunk degrades to element-isolated re-execution: each
-			// binding retries as its own single-element batch, so one bad
-			// element costs only itself instead of aborting every slot.
-			q.runElements(bt, be, lo, hi, worker)
-			return
-		}
-		perElem := elapsed / time.Duration(len(sub))
-		for i, res := range results {
-			bt.results[lo+i] = q.batchResult(bt, lo+i, res, started, perElem, faults.RetryStats{Attempts: 1})
-		}
-		return
-	}
-	base, err := q.cache.Get(bt.spec)
-	if err != nil {
-		for i := range sub {
-			bt.errs[lo+i] = err.Error()
-		}
-		return
-	}
-	for i, b := range sub {
-		bound := base.Bind(b)
-		spec, err := SpecFromCircuit(bound)
-		if err != nil {
-			bt.errs[lo+i] = err.Error()
-			continue
-		}
-		elemStart := time.Now()
-		res, rs, err := q.execGuarded(spec, chunkOpts.ForElement(i), bt.deadline, fmt.Sprintf("exec-batch:%s[%d]", bt.spec.Name, lo+i), worker)
-		if err != nil {
-			bt.errs[lo+i] = err.Error()
-			continue
-		}
-		bt.results[lo+i] = q.batchResult(bt, lo+i, res, elemStart, time.Since(elemStart), rs)
-	}
-}
-
-// runElements is the degraded path after a batch-native chunk failure:
-// bindings[lo:hi] re-execute as single-element batches, each under its own
-// retry envelope. Seeds stay globally indexed (ForElement(g) here equals
-// base+lo+i on the whole-chunk path), so elements that recover produce
-// bit-identical results to a clean run; elements that keep failing record
-// only their own error.
-func (q *QPM) runElements(bt *batchTask, be BatchExecutor, lo, hi int, worker string) {
-	retry := q.retryPolicy()
-	for g := lo; g < hi; g++ {
-		elemOpts := bt.opts.ForElement(g)
-		elemStart := time.Now()
-		var res ExecResult
-		rs, err := retry.DoStats(func(int) error {
-			finish := q.rec.Span("executor:"+bt.spec.Name, worker)
-			defer finish()
-			results, err := guarded(bt.deadline, fmt.Sprintf("exec-batch:%s[%d]", bt.spec.Name, g), func() ([]ExecResult, error) {
-				return be.ExecuteBatch(bt.spec, bt.bindings[g:g+1], elemOpts)
-			})
-			if err != nil {
-				return err
-			}
-			if len(results) != 1 {
-				return fmt.Errorf("qpm[%s]: batch executor returned %d results for 1 binding", q.backend, len(results))
-			}
-			res = results[0]
-			return nil
-		})
-		if rs.Attempts > 1 {
-			q.mRetries.Add(int64(rs.Attempts - 1))
-		}
-		if err != nil {
-			bt.errs[g] = err.Error()
-			continue
-		}
-		bt.results[g] = q.batchResult(bt, g, res, elemStart, time.Since(elemStart), rs)
-	}
-}
-
-// batchResult marshals one batch element's ExecResult into the unified
-// format. ExecMS for batch-native chunks is the chunk mean (elements share
-// one executor call); retry backoff is split out of it so TotalMS is the
-// exact sum of the reported components.
-func (q *QPM) batchResult(bt *batchTask, idx int, res ExecResult, started time.Time, exec time.Duration, rs faults.RetryStats) *Result {
-	tm := taskTimings(bt.created, started, started.Add(exec), rs)
-	q.observeTimings(tm)
-	return &Result{
-		TaskID:     fmt.Sprintf("%s#%d", bt.id, idx),
-		Backend:    q.backend,
-		Subbackend: bt.opts.Subbackend,
-		Counts:     res.Counts,
-		ExpVal:     res.ExpVal,
-		TruncErr:   res.TruncErr,
-		Extra:      res.Extra,
-		Route:      res.Route,
-		Timings:    tm,
-	}
-}
-
-// SubmitGradient registers and enqueues one gradient batch. The backend
-// must implement GradientExecutor — callers probe Capabilities.Gradients
-// first; a submit against a non-differentiating backend fails immediately
-// rather than queueing doomed work.
-func (q *QPM) SubmitGradient(spec CircuitSpec, bindings []Bindings, opts RunOptions) (string, error) {
-	ge, ok := q.exec.(GradientExecutor)
-	if !ok {
-		return "", fmt.Errorf("qpm[%s]: backend does not support gradient execution", q.backend)
-	}
-	if spec.QASM == "" {
-		return "", fmt.Errorf("qpm[%s]: empty circuit spec", q.backend)
-	}
-	if len(bindings) == 0 {
-		return "", fmt.Errorf("qpm[%s]: empty gradient batch", q.backend)
-	}
-	id := fmt.Sprintf("%s-grad-%d", q.backend, q.nextID.Add(1))
-	created := time.Now()
-	gt := &gradTask{id: id, created: created, deadline: deadlineFor(created, opts), status: StatusQueued, done: make(chan struct{})}
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return "", fmt.Errorf("qpm[%s]: closed", q.backend)
-	}
-	if q.quiesced {
-		q.mu.Unlock()
-		return "", fmt.Errorf("qpm[%s]: %w", q.backend, ErrDraining)
-	}
-	q.grads[id] = gt
-	q.mu.Unlock()
-	err := q.enqueue(func(worker string) {
-		gt.mu.Lock()
-		if gt.cancelled {
-			gt.status = StatusFailed
-			gt.errMsg = "cancelled"
-			close(gt.done)
-			gt.mu.Unlock()
-			return
-		}
-		gt.status = StatusRunning
-		gt.mu.Unlock()
-		started := time.Now()
-		finish := q.rec.Span("exec-grad:"+spec.Name, worker)
-		var results []GradResult
-		rs, err := q.retryPolicy().DoStats(func(int) error {
-			attemptFinish := q.rec.Span("executor:"+spec.Name, worker)
-			defer attemptFinish()
-			var err error
-			results, err = guarded(gt.deadline, "exec-grad:"+spec.Name, func() ([]GradResult, error) {
-				return ge.ExecuteGradient(spec, bindings, opts)
-			})
-			return err
-		})
-		finish()
-		if rs.Attempts > 1 {
-			q.mRetries.Add(int64(rs.Attempts - 1))
-		}
-		gt.mu.Lock()
-		if err != nil {
-			gt.status = StatusFailed
-			gt.errMsg = err.Error()
-			q.mFails.Inc()
-		} else {
-			gt.status = StatusDone
-			gt.results = results
-			q.observeTimings(taskTimings(gt.created, started, time.Now(), rs))
-		}
-		close(gt.done)
-		gt.mu.Unlock()
-	})
-	if err != nil {
-		gt.mu.Lock()
-		gt.status = StatusFailed
-		gt.errMsg = err.Error()
-		close(gt.done)
-		gt.mu.Unlock()
-	}
-	return id, nil
-}
-
-// WaitGradient blocks until the gradient batch completes and returns the
-// ordered per-binding results.
-func (q *QPM) WaitGradient(id string) ([]GradResult, error) {
-	return q.WaitGradientCtx(context.Background(), id)
-}
-
-// WaitGradientCtx is WaitGradient with caller-side cancellation: when ctx
-// ends first the wait returns ctx's error while the work item keeps
-// running (use Delete on an expired deadline to reclaim the slot).
-func (q *QPM) WaitGradientCtx(ctx context.Context, id string) ([]GradResult, error) {
-	q.mu.Lock()
-	gt, ok := q.grads[id]
+	j, ok := q.jobs[id]
 	q.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("qpm[%s]: unknown gradient task %s", q.backend, id)
+		return waitResp{}, fmt.Errorf("qpm[%s]: unknown task %s", q.backend, id)
 	}
 	select {
-	case <-gt.done:
+	case <-j.done:
 	case <-ctx.Done():
-		return nil, fmt.Errorf("qpm[%s]: wait %s: %w", q.backend, id, ctx.Err())
+		return waitResp{}, fmt.Errorf("qpm[%s]: wait %s: %w", q.backend, id, ctx.Err())
 	}
-	gt.mu.Lock()
-	defer gt.mu.Unlock()
-	if gt.status == StatusFailed {
-		return nil, fmt.Errorf("%s", gt.errMsg)
+	q.mu.Lock()
+	if !j.retired {
+		j.retired = true
+		if old := q.retired[q.retiredAt]; old != "" {
+			delete(q.jobs, old)
+		}
+		q.retired[q.retiredAt] = id
+		q.retiredAt = (q.retiredAt + 1) % maxRetained
 	}
-	return gt.results, nil
+	q.mu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return waitResp{Results: j.results, Grads: j.grads, Errs: j.errs}, nil
 }
 
-func (q *QPM) finishChunk(bt *batchTask) {
-	bt.mu.Lock()
-	defer bt.mu.Unlock()
-	bt.pending--
-	if bt.pending > 0 {
-		return
+// Wait blocks until a single run completes and returns its result.
+func (q *QPM) Wait(id string) (*Result, error) {
+	r, err := q.waitCtx(context.Background(), id)
+	if err != nil {
+		return nil, err
 	}
-	bt.status = StatusDone
-	var failed int64
-	for _, e := range bt.errs {
-		if e != "" {
-			failed++
-		}
-	}
-	if failed > 0 {
-		bt.status = StatusFailed
-		q.mFails.Add(failed)
-	}
-	close(bt.done)
+	return r.single()
 }
 
 // WaitBatch blocks until every element of the batch completes and returns
 // the ordered results plus per-element error strings ("" for success).
 func (q *QPM) WaitBatch(id string) ([]*Result, []string, error) {
-	return q.WaitBatchCtx(context.Background(), id)
+	r, err := q.waitCtx(context.Background(), id)
+	return r.Results, r.Errs, err
 }
 
-// WaitBatchCtx is WaitBatch with caller-side cancellation.
-func (q *QPM) WaitBatchCtx(ctx context.Context, id string) ([]*Result, []string, error) {
-	bt, err := q.lookupBatch(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	select {
-	case <-bt.done:
-	case <-ctx.Done():
-		return nil, nil, fmt.Errorf("qpm[%s]: wait %s: %w", q.backend, id, ctx.Err())
-	}
-	return bt.results, bt.errs, nil
-}
-
-// Status returns the task (or batch / gradient batch) state.
-func (q *QPM) Status(id string) (Status, error) {
-	q.mu.Lock()
-	t, ok := q.tasks[id]
-	bt, bok := q.batches[id]
-	gt, gok := q.grads[id]
-	q.mu.Unlock()
-	switch {
-	case ok:
-		return t.snapshotStatus(), nil
-	case bok:
-		return bt.snapshotStatus(), nil
-	case gok:
-		return gt.snapshotStatus(), nil
-	}
-	return "", fmt.Errorf("qpm[%s]: unknown task %s", q.backend, id)
-}
-
-// Wait blocks until the task completes and returns its result.
-func (q *QPM) Wait(id string) (*Result, error) {
-	return q.WaitCtx(context.Background(), id)
-}
-
-// WaitCtx is Wait with caller-side cancellation.
-func (q *QPM) WaitCtx(ctx context.Context, id string) (*Result, error) {
-	t, err := q.lookup(id)
+// WaitGradient blocks until the gradient batch completes and returns the
+// ordered per-binding results.
+func (q *QPM) WaitGradient(id string) ([]GradResult, error) {
+	r, err := q.waitCtx(context.Background(), id)
 	if err != nil {
 		return nil, err
 	}
-	select {
-	case <-t.done:
-	case <-ctx.Done():
-		return nil, fmt.Errorf("qpm[%s]: wait %s: %w", q.backend, id, ctx.Err())
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.status == StatusFailed {
-		return nil, fmt.Errorf("%s", t.errMsg)
-	}
-	return t.result, nil
+	return r.gradients()
 }
 
-// deadlinePassed reports whether a work item's deadline exists and has
-// expired — the one case where deleting a "running" item is safe: the
-// guarded execution has already abandoned the backend call (or is about
-// to), so removing the bookkeeping cannot orphan a live result.
-func deadlinePassed(deadline time.Time) bool {
-	return !deadline.IsZero() && !time.Now().Before(deadline)
+// Status returns a job's state.
+func (q *QPM) Status(id string) (Status, error) {
+	q.mu.Lock()
+	j, ok := q.jobs[id]
+	q.mu.Unlock()
+	if !ok {
+		return "", fmt.Errorf("qpm[%s]: unknown task %s", q.backend, id)
+	}
+	return j.snapshotStatus(), nil
 }
 
-// Delete removes a completed (or never-run) task or batch. Deleting a
-// queued item cancels it: its work items still pass through the QRC queue
-// but are dropped at the worker instead of executing. Running items refuse
-// deletion — the execution cannot be recalled from the backend — unless
-// their deadline has already passed, in which case the executor has been
-// abandoned and the entry would otherwise sit orphaned in the task table.
+// Delete removes a finished (or never-run) job. Deleting a queued job
+// cancels it: it still passes through the QRC queue but is dropped at the
+// worker instead of executing. Running jobs refuse deletion — the
+// execution cannot be recalled from the backend — unless their deadline has
+// already passed: the guarded execution has then abandoned the backend
+// call, and the entry would otherwise sit orphaned in the table.
 func (q *QPM) Delete(id string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if t, ok := q.tasks[id]; ok {
-		t.mu.Lock()
-		if t.status == StatusRunning && !deadlinePassed(t.deadline) {
-			t.mu.Unlock()
-			return fmt.Errorf("qpm[%s]: task %s is running", q.backend, id)
-		}
-		if t.status == StatusQueued || t.status == StatusRunning {
-			t.cancelled = true
-		}
-		t.mu.Unlock()
-		delete(q.tasks, id)
-		return nil
+	j, ok := q.jobs[id]
+	if !ok {
+		return fmt.Errorf("qpm[%s]: unknown task %s", q.backend, id)
 	}
-	if bt, ok := q.batches[id]; ok {
-		bt.mu.Lock()
-		if bt.status == StatusRunning && !deadlinePassed(bt.deadline) {
-			bt.mu.Unlock()
-			return fmt.Errorf("qpm[%s]: batch %s is running", q.backend, id)
-		}
-		if bt.status == StatusQueued || bt.status == StatusRunning {
-			bt.cancelled = true
-		}
-		bt.mu.Unlock()
-		delete(q.batches, id)
-		return nil
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.status == StatusRunning && (j.deadline.IsZero() || time.Now().Before(j.deadline)) {
+		return fmt.Errorf("qpm[%s]: task %s is running", q.backend, id)
 	}
-	if gt, ok := q.grads[id]; ok {
-		gt.mu.Lock()
-		if gt.status == StatusRunning && !deadlinePassed(gt.deadline) {
-			gt.mu.Unlock()
-			return fmt.Errorf("qpm[%s]: gradient batch %s is running", q.backend, id)
-		}
-		if gt.status == StatusQueued || gt.status == StatusRunning {
-			gt.cancelled = true
-		}
-		gt.mu.Unlock()
-		delete(q.grads, id)
-		return nil
+	if j.status == StatusQueued || j.status == StatusRunning {
+		j.cancelled = true
 	}
-	return fmt.Errorf("qpm[%s]: unknown task %s", q.backend, id)
+	delete(q.jobs, id)
+	return nil
 }
 
-// List returns all task and batch IDs with their states.
+// List returns every job ID with its state.
 func (q *QPM) List() map[string]Status {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make(map[string]Status, len(q.tasks)+len(q.batches)+len(q.grads))
-	for id, t := range q.tasks {
-		out[id] = t.snapshotStatus()
-	}
-	for id, bt := range q.batches {
-		out[id] = bt.snapshotStatus()
-	}
-	for id, gt := range q.grads {
-		out[id] = gt.snapshotStatus()
+	out := make(map[string]Status, len(q.jobs))
+	for id, j := range q.jobs {
+		out[id] = j.snapshotStatus()
 	}
 	return out
 }
 
-func (q *QPM) lookup(id string) (*task, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	t, ok := q.tasks[id]
-	if !ok {
-		return nil, fmt.Errorf("qpm[%s]: unknown task %s", q.backend, id)
-	}
-	return t, nil
-}
-
-func (q *QPM) lookupBatch(id string) (*batchTask, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	bt, ok := q.batches[id]
-	if !ok {
-		return nil, fmt.Errorf("qpm[%s]: unknown batch %s", q.backend, id)
-	}
-	return bt, nil
-}
-
 // ---- DEFw RPC surface -------------------------------------------------
 
-// submitReq is the payload of "create"/"submit" calls.
+// submitReq is the payload of "submit": one spec, its bindings (a single
+// run sends [null]) and the job op.
 type submitReq struct {
-	Spec CircuitSpec `json:"spec"`
-	Opts RunOptions  `json:"opts"`
-}
-
-// batchSubmitReq is the payload of "submit_batch": one spec, K bindings.
-type batchSubmitReq struct {
 	Spec     CircuitSpec `json:"spec"`
 	Bindings []Bindings  `json:"bindings"`
 	Opts     RunOptions  `json:"opts"`
-}
-
-// batchWaitResp is the reply of "wait_batch": ordered results with parallel
-// per-element error strings ("" for success, nil Result on failure).
-type batchWaitResp struct {
-	Results []*Result `json:"results"`
-	Errs    []string  `json:"errs,omitempty"`
-}
-
-// gradWaitResp is the reply of "wait_grad": one GradResult per binding.
-type gradWaitResp struct {
-	Results []GradResult `json:"results"`
+	Op       jobOp       `json:"op,omitempty"`
 }
 
 type idMsg struct {
@@ -993,110 +711,42 @@ type statusMsg struct {
 	Status Status `json:"status"`
 }
 
-// Handle implements defw.Handler, exposing the QPM API over RPC: create,
-// run, submit, submit_batch, submit_grad, status, wait, wait_batch,
-// wait_grad, delete, list, capabilities.
+// Handle implements defw.Handler, exposing the QPM API over RPC: submit,
+// wait, status, delete, list, capabilities.
 func (q *QPM) Handle(method string, payload []byte) ([]byte, error) {
+	var id idMsg
+	if method == "wait" || method == "status" || method == "delete" {
+		if err := json.Unmarshal(payload, &id); err != nil {
+			return nil, fmt.Errorf("qpm[%s]: bad payload: %w", q.backend, err)
+		}
+	}
 	switch method {
-	case "create", "submit":
+	case "submit":
 		var req submitReq
 		if err := json.Unmarshal(payload, &req); err != nil {
 			return nil, fmt.Errorf("qpm[%s]: bad payload: %w", q.backend, err)
 		}
-		var id string
-		var err error
-		if method == "create" {
-			id, err = q.Create(req.Spec, req.Opts)
-		} else {
-			id, err = q.Submit(req.Spec, req.Opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(idMsg{ID: id})
-	case "submit_batch":
-		var req batchSubmitReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("qpm[%s]: bad payload: %w", q.backend, err)
-		}
-		id, err := q.SubmitBatch(req.Spec, req.Bindings, req.Opts)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(idMsg{ID: id})
-	case "wait_batch":
-		var req idMsg
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		results, errs, err := q.WaitBatch(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(batchWaitResp{Results: results, Errs: errs})
-	case "submit_grad":
-		var req batchSubmitReq
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("qpm[%s]: bad payload: %w", q.backend, err)
-		}
-		id, err := q.SubmitGradient(req.Spec, req.Bindings, req.Opts)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(idMsg{ID: id})
-	case "wait_grad":
-		var req idMsg
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		results, err := q.WaitGradient(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(gradWaitResp{Results: results})
-	case "run":
-		var req idMsg
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := q.Run(req.ID); err != nil {
-			return nil, err
-		}
-		return json.Marshal(struct{}{})
-	case "status":
-		var req idMsg
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		st, err := q.Status(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(statusMsg{ID: req.ID, Status: st})
+		jid, err := q.submit(req.Spec, req.Bindings, req.Opts, req.Op)
+		return reply(idMsg{ID: jid}, err)
 	case "wait":
-		var req idMsg
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		res, err := q.Wait(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
+		return reply(q.waitCtx(context.Background(), id.ID))
+	case "status":
+		st, err := q.Status(id.ID)
+		return reply(statusMsg{ID: id.ID, Status: st}, err)
 	case "delete":
-		var req idMsg
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := q.Delete(req.ID); err != nil {
-			return nil, err
-		}
-		return json.Marshal(struct{}{})
+		return reply(struct{}{}, q.Delete(id.ID))
 	case "list":
 		return json.Marshal(q.List())
 	case "capabilities":
 		return json.Marshal(q.exec.Capabilities())
-	default:
-		return nil, fmt.Errorf("qpm[%s]: unknown method %q", q.backend, method)
 	}
+	return nil, fmt.Errorf("qpm[%s]: unknown method %q", q.backend, method)
+}
+
+// reply encodes an RPC result, or passes the call's error through.
+func reply(v any, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(v)
 }

@@ -3,17 +3,17 @@
 //
 //   - the standardized circuit/task descriptions exchanged between frontends
 //     and backends (CircuitSpec, RunOptions, Result),
-//   - the Quantum Platform Manager (QPM): the central dispatcher owning task
-//     queues and circuit lifecycle (create / run / status / result / delete),
+//   - the Quantum Platform Manager (QPM): the central dispatcher owning the
+//     job queue and lifecycle (submit / status / wait / delete); single
+//     runs, batches and gradients are one job type,
 //   - the Quantum Resource Controller (QRC): the worker threads that launch
 //     backend executions across the allocation,
 //   - the QFwBackend frontend used by applications, speaking to QPMs over
 //     the DEFw RPC layer with synchronous and asynchronous calls,
 //   - the batched parametric pipeline (CircuitSpec.Params + Bindings,
-//     Frontend.RunBatch, QPM submit_batch/wait_batch, BatchExecutor): one
+//     Frontend.RunBatch, the QPM submit/wait RPCs, BatchExecutor): one
 //     symbolic ansatz ships per optimizer iteration instead of N bound
-//     copies, fanned across the QRC workers and parsed once per ansatz via
-//     ParseCache,
+//     copies and is parsed and planned once per ansatz via ParseCache,
 //   - the deployment bootstrap (Launch) that reproduces the paper's Fig. 1
 //     flow: SLURM heterogeneous job → DVM → QPM services → teardown.
 package core
@@ -416,12 +416,45 @@ type Executor interface {
 // BatchExecutor is the optional batch-native extension of Executor: execute
 // one parametric spec under a list of parameter bindings and return ordered
 // per-element results. Implementations rebind each element into a cached
-// parse of the spec, so the QASM parse cost is paid once per ansatz. The
-// QPM probes for this interface and falls back to per-element Execute calls
-// when a backend does not provide it.
+// parse of the spec, so the QASM parse cost is paid once per ansatz.
+// Element i runs with opts.ForElement(i). Executors without it are driven
+// through asBatch.
 type BatchExecutor interface {
 	Executor
 	ExecuteBatch(spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]ExecResult, error)
+}
+
+// asBatch returns exec as a BatchExecutor. A plain executor is wrapped in
+// the one bind-and-Execute fallback: each element is bound into the spec's
+// parse in cache, re-serialized and executed with opts.ForElement(i).
+func asBatch(exec Executor, cache *ParseCache) BatchExecutor {
+	if be, ok := exec.(BatchExecutor); ok {
+		return be
+	}
+	return plainBatch{exec, cache}
+}
+
+type plainBatch struct {
+	Executor
+	cache *ParseCache
+}
+
+func (p plainBatch) ExecuteBatch(spec CircuitSpec, bindings []Bindings, opts RunOptions) ([]ExecResult, error) {
+	base, err := p.cache.Get(spec)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ExecResult, len(bindings))
+	for i, b := range bindings {
+		elem, err := SpecFromCircuit(base.Bind(b))
+		if err == nil {
+			out[i], err = p.Execute(elem, opts.ForElement(i))
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // GradResult is the unified return of one gradient evaluation: the exact

@@ -26,7 +26,7 @@
 //
 // Variational workloads evaluate one ansatz under many parameter bindings
 // per optimizer iteration. The batch API ships the symbolic circuit once
-// and the bindings as a list, costing a single submit_batch RPC (and a
+// and the bindings as a list, costing a single submit RPC (and a
 // single QASM parse backend-side) for the whole candidate set:
 //
 //	ansatz := qfw.NewCircuit(2)

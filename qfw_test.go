@@ -150,7 +150,7 @@ func TestPublicAPICircuitBuilding(t *testing.T) {
 
 func TestPublicAPIBatch(t *testing.T) {
 	// The batch path through the full stack: one parametric circuit, K
-	// bindings, ordered results from a single submit_batch RPC.
+	// bindings, ordered results from a single submit RPC.
 	s := launchTest(t)
 	backend, err := s.Frontend(Properties{Backend: "aer", Subbackend: "statevector"})
 	if err != nil {
