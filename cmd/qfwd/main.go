@@ -43,7 +43,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "base RNG seed")
 		cacheCap    = flag.Int("serve-cache", 4096, "serving-layer result cache entries per backend (negative disables caching)")
 		window      = flag.Duration("serve-window", 2*time.Millisecond, "serving-layer coalescing admission window (0 disables the wait)")
-		quota       = flag.Int("serve-quota", 0, "default per-tenant outstanding-element quota (0: the queue cap)")
+		quota       = flag.Int("serve-quota", 0, "default per-tenant outstanding-element quota (0: only the shared queue bound)")
 		drainGrace  = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline: stop admitting on SIGTERM and finish in-flight work up to this long")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics and Chrome-trace /trace on this address (empty disables)")
 		traceCap    = flag.Int("trace-cap", trace.DefaultCapacity, "span-ring capacity (older spans overwritten once full)")
@@ -80,8 +80,9 @@ func main() {
 	}
 
 	// One serving layer per backend, registered beside the raw qpm.<backend>
-	// service: applications that want the cache/coalescing/fair-share path
-	// talk to serve.<backend>, existing clients keep the raw queue.
+	// service: applications that want the cache/single-flight/coalescing
+	// path talk to serve.<backend>; both feed the QPM's one fair-share queue,
+	// where raw clients are the tenant "".
 	srvCfg := serve.Config{CacheCap: *cacheCap, Window: *window, Quota: *quota}
 	var servers []*serve.Server
 	for _, backend := range session.Backends() {
@@ -91,13 +92,8 @@ func main() {
 	}
 	fmt.Printf("qfwd: serving layer up (cache %d, window %s)\n", *cacheCap, *window)
 
-	// Utilization time series: QRC-worker busy fractions per backend plus
-	// the serving layers' dispatch-slot busy fractions.
-	sampler := session.StartUtilizationSampler(*utilWindow)
-	for _, srv := range servers {
-		srv := srv
-		sampler.Watch(trace.LabeledName("qfw_serve_utilization", "backend", srv.Backend()), srv.Slots(), srv.BusyNS)
-	}
+	// Utilization time series: QRC-worker busy fractions per backend.
+	session.StartUtilizationSampler(*utilWindow)
 
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)
@@ -157,16 +153,9 @@ func main() {
 		fmt.Printf("qfwd: SLURM job ended (%s)\n", session.Job.State())
 	}
 
-	// Graceful drain: the serving layers stop admitting and flush their
-	// queues first (their dispatches need live QPMs), then the QPMs quiesce
-	// and finish whatever is still in flight.
-	deadline := time.Now().Add(*drainGrace)
-	for _, srv := range servers {
-		if !srv.Drain(time.Until(deadline)) {
-			fmt.Printf("qfwd: serve[%s] did not drain before the deadline\n", srv.Backend())
-		}
-	}
-	if !session.Drain(time.Until(deadline)) {
+	// Graceful drain: the QPMs stop admitting, close their open admission
+	// windows at once, and finish whatever is queued or in flight.
+	if !session.Drain(*drainGrace) {
 		fmt.Println("qfwd: QPMs did not drain before the deadline; tearing down anyway")
 	}
 	for _, srv := range servers {

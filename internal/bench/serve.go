@@ -243,13 +243,15 @@ func (h *Harness) RunServeAblation() (*Experiment, error) {
 }
 
 // runShedProbe verifies overload is shed with the typed error rather than
-// queued without bound: it pins the single dispatch slot of a deliberately
-// tiny configuration with a large circuit, fills the four-element queue, and
+// queued without bound: on its own one-worker QPM over the aer executor it
+// pins the worker with a large circuit, fills the four-element queue, and
 // then submits over the cap. The returned point records over-cap attempts
 // (Evals) and typed rejections (Shed).
 func (h *Harness) runShedProbe(qpm *core.QPM, hot []serveRequest) (Point, error) {
 	const queueCap = 4
-	srv := serve.New(qpm, serve.Config{CacheCap: -1, QueueCap: queueCap, Quota: 1 << 20, Inflight: 1}, h.Session.Rec)
+	probe := core.NewQPM(h.Session.Executor(qpm.Backend()), 1, h.Session.Rec)
+	defer probe.Close()
+	srv := serve.New(probe, serve.Config{CacheCap: -1, QueueCap: queueCap, Quota: 1 << 20}, h.Session.Rec)
 	defer srv.Close()
 
 	blockSpec, err := core.SpecFromCircuit(workloads.GHZ(20))
@@ -273,7 +275,7 @@ func (h *Harness) runShedProbe(qpm *core.QPM, hot []serveRequest) (Point, error)
 		}
 	}
 
-	// Pin the only dispatch slot: a 20-qubit statevector run holds it for
+	// Pin the only worker: a 20-qubit statevector run holds it for
 	// tens of milliseconds, long enough to fill and overflow the queue.
 	wg.Add(1)
 	go submit("blocker", blockSpec, nil, core.RunOptions{Shots: 64, Subbackend: "statevector"})
@@ -293,7 +295,7 @@ func (h *Harness) runShedProbe(qpm *core.QPM, hot []serveRequest) (Point, error)
 		return Point{}, err
 	}
 
-	// The queue is at cap and the slot is held: every further submission
+	// The queue is at cap and the worker is held: every further submission
 	// must shed, and the rejection must stay typed.
 	attempts := 2 * queueCap
 	shed := 0
@@ -303,7 +305,7 @@ func (h *Harness) runShedProbe(qpm *core.QPM, hot []serveRequest) (Point, error)
 		switch {
 		case err == nil:
 			return Point{}, fmt.Errorf("bench: probe submission %d admitted over a full queue", i)
-		case !serve.IsOverloaded(err):
+		case !core.IsOverloaded(err):
 			return Point{}, fmt.Errorf("bench: untyped overload error: %w", err)
 		}
 		shed++

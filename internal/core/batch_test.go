@@ -222,7 +222,8 @@ func (b *blockingExec) Execute(spec CircuitSpec, opts RunOptions) (ExecResult, e
 
 func TestQPMRunOnFullQueue(t *testing.T) {
 	exec := &blockingExec{name: "full", started: make(chan struct{}, 16), release: make(chan struct{})}
-	q := newQPMWithQueueCap(exec, 1, nil, 2)
+	q := NewQPM(exec, 1, nil)
+	q.SetQueueCap(2)
 	defer func() { close(exec.release); q.Close() }()
 	spec := bell(t)
 
@@ -243,6 +244,27 @@ func TestQPMRunOnFullQueue(t *testing.T) {
 	}
 	if n := len(q.List()); n != 3 {
 		t.Fatalf("table holds %d jobs, want 3 (a rejected submit leaves no entry)", n)
+	}
+
+	// The shed stays typed across a Frontend round trip, hint included.
+	server := defw.NewServer()
+	server.Register(ServiceName("full"), q)
+	client := defw.NewPipeClient(server)
+	defer func() { client.Close(); server.Close() }()
+	front, err := NewFrontend(client, Properties{Backend: "full"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := spec.Circuit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = front.RunAsync(c, RunOptions{})
+	if !IsOverloaded(err) || !strings.Contains(err.Error(), "queue full") {
+		t.Fatalf("Frontend submit on full queue = %v, want typed ErrOverloaded", err)
+	}
+	if d, ok := RetryAfterHint(err); !ok || d <= 0 {
+		t.Fatalf("Frontend shed error carries no retry hint: %v", err)
 	}
 }
 

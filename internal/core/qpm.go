@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,15 +26,21 @@ const (
 
 // job is the QPM's one unit of work: a spec plus its bindings and the
 // operation to run on them. A single run is a sample job with the one
-// binding nil; a batch ships K bindings; a gradient is a grad job.
+// binding nil; a batch ships K bindings; a gradient is a grad job. Direct
+// submits are tenant "" jobs in the table; served jobs carry one Element
+// per binding instead and never enter the table.
 type job struct {
 	id       string
+	t        *tenant
+	group    string // merge key of a served job; "" = never merged
 	spec     CircuitSpec
 	bindings []Bindings
+	elems    []Element // served jobs only, parallel to bindings
 	opts     RunOptions
 	op       jobOp
-	created  time.Time
-	deadline time.Time // zero = none; from RunOptions.TimeoutMS at submission
+	created  time.Time // first admission
+	ready    time.Time // end of the admission window; guarded by QPM.mu while queued
+	deadline time.Time // zero = none; from RunOptions.TimeoutMS at first admission
 	retired  bool      // result returned by a wait; guarded by QPM.mu
 
 	mu        sync.Mutex
@@ -59,16 +66,77 @@ func (j *job) what() string {
 	return "exec:" + j.spec.Name
 }
 
+// Element is one served circuit execution: its binding and the callback
+// that receives its outcome (a result, or an error string) when the job
+// carrying it finishes. Done runs on a QRC worker, outside the QPM's locks.
+type Element struct {
+	Binding Bindings
+	Done    func(res *Result, errStr string)
+	enq     time.Time
+}
+
+// Admission is one served submission handed to the QPM scheduler: a
+// tenant's elements of one spec. Elements with a Group merge into the
+// tenant's open same-group job until it holds MaxBatch elements or a
+// worker picks it; elements without one travel as one job. A new job
+// becomes ready Window after its first admission.
+type Admission struct {
+	Tenant   string
+	Group    string
+	Spec     CircuitSpec
+	Opts     RunOptions
+	Elems    []Element
+	Window   time.Duration
+	MaxBatch int
+	Quota    int // outstanding-element bound for a tenant SetTenant gave none; 0 = none
+}
+
+// TenantStats is one tenant's accounting: fair-share weight, quota on
+// outstanding (queued + running) elements (0 = the admission's), and
+// elements served, shed and outstanding.
+type TenantStats struct {
+	Weight      int   `json:"weight"`
+	Quota       int   `json:"quota"`
+	Served      int64 `json:"served"`
+	Shed        int64 `json:"shed"`
+	Outstanding int   `json:"outstanding"`
+}
+
+// tenant is one fair-share class of the QPM queue. Direct submits are the
+// tenant "": alone, stride order is FIFO.
+type tenant struct {
+	TenantStats
+	name string
+	pass float64 // stride-scheduling virtual time
+	jobs []*job
+	open map[string]*job // queued group jobs still merging, by group
+}
+
+// SchedStats is the scheduler's observable state: queued elements (now and
+// peak), the served jobs formed, and per-tenant accounting.
+type SchedStats struct {
+	Queued, PeakQueued int
+	Groups             int64
+	Tenants            map[string]TenantStats
+}
+
 // maxRetained bounds how many jobs whose result a wait has already
 // returned stay in the table; beyond it the oldest is evicted, so clients
 // that never call Delete cannot grow a long-lived QPM without bound. Jobs
 // nobody has waited on are never evicted.
 const maxRetained = 1024
 
+// defaultQueueCap bounds the elements queued across all tenants, direct
+// and served alike.
+const defaultQueueCap = 1024
+
 // QPM is a Quantum Platform Manager service instance for one backend: it
 // owns the job queue and lifecycle and dispatches jobs to its QRC worker
 // threads. Single runs, batches and gradients are all jobs, so they share
-// one table, one queue and one runner.
+// one table, one queue and one runner. The queue is the one scheduler:
+// weighted stride fair share over per-tenant FIFOs, with served jobs
+// coalescing in an admission window, and a worker picks the next job only
+// when its slot frees, so every decision sees the full backlog.
 type QPM struct {
 	backend   string
 	exec      Executor
@@ -76,11 +144,11 @@ type QPM struct {
 	grad      GradientExecutor // nil when the backend cannot differentiate
 	rec       *trace.Recorder
 	cache     *ParseCache
-	queue     chan *job
 	nextID    atomic.Int64
 	inflight  atomic.Int64 // queued + running jobs
 	busyNS    atomic.Int64 // cumulative worker busy time (utilization source)
 	mu        sync.Mutex
+	cond      *sync.Cond // on mu: a job became ready, or the QPM closed
 	jobs      map[string]*job
 	retired   [maxRetained]string // ring of waited-on job ids, oldest at retiredAt
 	retiredAt int
@@ -90,41 +158,40 @@ type QPM struct {
 	workerWG  sync.WaitGroup
 	retry     faults.Policy // guarded by mu; see SetRetryPolicy
 
+	// Scheduler state, guarded by mu.
+	tenants            map[string]*tenant
+	vtime              float64 // pass of the last picked tenant
+	queued, peakQueued int     // queued elements across tenants
+	queueCap           int
+	groups             int64 // served jobs queued
+
 	// Resolved metric handles (shared registry, labeled by backend).
 	mTasks, mFails, mRetries *trace.Counter
 	hQueue, hExec            *trace.Histogram
+	gDepth                   *trace.Gauge
 }
-
-// defaultQueueCap is the QPM job-queue depth (tests shrink it via
-// newQPMWithQueueCap to exercise the queue-full path).
-const defaultQueueCap = 1024
 
 // NewQPM starts a QPM with the given number of QRC worker threads (the paper
 // uses eight per QPM process).
 func NewQPM(exec Executor, workers int, rec *trace.Recorder) *QPM {
-	return newQPMWithQueueCap(exec, workers, rec, defaultQueueCap)
-}
-
-func newQPMWithQueueCap(exec Executor, workers int, rec *trace.Recorder, queueCap int) *QPM {
 	if workers <= 0 {
 		workers = 8
 	}
 	if rec == nil {
 		rec = trace.NewRecorder()
 	}
-	if queueCap <= 0 {
-		queueCap = defaultQueueCap
-	}
 	q := &QPM{
-		backend: exec.Name(),
-		exec:    exec,
-		rec:     rec,
-		cache:   NewParseCache(),
-		queue:   make(chan *job, queueCap),
-		jobs:    make(map[string]*job),
-		workers: workers,
-		retry:   DefaultRetryPolicy(),
+		backend:  exec.Name(),
+		exec:     exec,
+		rec:      rec,
+		cache:    NewParseCache(),
+		jobs:     make(map[string]*job),
+		workers:  workers,
+		retry:    DefaultRetryPolicy(),
+		tenants:  make(map[string]*tenant),
+		queueCap: defaultQueueCap,
 	}
+	q.cond = sync.NewCond(&q.mu)
 	q.batch = asBatch(exec, q.cache)
 	q.grad, _ = exec.(GradientExecutor)
 	met := rec.Metrics()
@@ -133,6 +200,7 @@ func newQPMWithQueueCap(exec Executor, workers int, rec *trace.Recorder, queueCa
 	q.mRetries = met.Counter(trace.LabeledName("qfw_qpm_retries_total", "backend", q.backend))
 	q.hQueue = met.Histogram(trace.LabeledName("qfw_qpm_queue_ms", "backend", q.backend))
 	q.hExec = met.Histogram(trace.LabeledName("qfw_qpm_exec_ms", "backend", q.backend))
+	q.gDepth = met.Gauge(trace.LabeledName("qfw_serve_queue_depth", "backend", q.backend))
 	for w := 0; w < workers; w++ {
 		q.workerWG.Add(1)
 		go q.qrcWorker(w)
@@ -183,15 +251,6 @@ func (q *QPM) retryPolicy() faults.Policy {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.retry
-}
-
-// deadlineFor converts RunOptions.TimeoutMS into an absolute deadline
-// anchored at submission, so queue wait counts against the budget.
-func deadlineFor(created time.Time, opts RunOptions) time.Time {
-	if opts.TimeoutMS <= 0 {
-		return time.Time{}
-	}
-	return created.Add(time.Duration(opts.TimeoutMS) * time.Millisecond)
 }
 
 // guarded runs one executor call with panic isolation and an optional
@@ -259,14 +318,18 @@ func retried[T any](q *QPM, j *job, what, worker string, call func() (T, error))
 	return v, rs, err
 }
 
-// qrcWorker is one Quantum Resource Controller thread: it pulls queued jobs
-// and triggers backend executions (MPI runs for local simulators, REST
-// calls for cloud backends). Busy time accumulates per job for the
-// utilization time series.
+// qrcWorker is one Quantum Resource Controller thread: each time its slot
+// frees it picks the next ready job and triggers the backend execution
+// (MPI runs for local simulators, REST calls for cloud backends). Busy
+// time accumulates per job for the utilization time series.
 func (q *QPM) qrcWorker(id int) {
 	defer q.workerWG.Done()
 	worker := fmt.Sprintf("%s/qrc-%d", q.backend, id)
-	for j := range q.queue {
+	for {
+		j := q.next()
+		if j == nil {
+			return
+		}
 		start := time.Now()
 		q.run(j, worker)
 		q.busyNS.Add(int64(time.Since(start)))
@@ -274,13 +337,64 @@ func (q *QPM) qrcWorker(id int) {
 	}
 }
 
+// next blocks until a job is ready for a free worker slot and returns the
+// ready head job of the minimum-pass tenant (weighted stride scheduling),
+// charging that tenant's virtual time with the job's elements. It returns
+// nil once the QPM is closed and its queue empty.
+func (q *QPM) next() *job {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		now := time.Now()
+		var best *tenant
+		for _, t := range q.tenants {
+			if len(t.jobs) == 0 || now.Before(t.jobs[0].ready) {
+				continue
+			}
+			if best == nil || t.pass < best.pass || (t.pass == best.pass && t.name < best.name) {
+				best = t
+			}
+		}
+		if best != nil {
+			j := best.jobs[0]
+			best.jobs = slices.Delete(best.jobs, 0, 1) // keeps the array: no allocation per job
+			if len(best.jobs) > 0 && !now.Before(best.jobs[0].ready) {
+				q.cond.Signal() // the new head's own wake-up found it behind j
+			}
+			if best.open[j.group] == j {
+				delete(best.open, j.group)
+			}
+			n := len(j.bindings)
+			q.vtime = best.pass
+			best.pass += float64(n) / float64(best.Weight)
+			q.queued -= n
+			q.gDepth.Record(float64(q.queued))
+			return j
+		}
+		if q.closed && q.queued == 0 {
+			return nil
+		}
+		q.cond.Wait()
+	}
+}
+
 // Quiesce closes admission without stopping the workers: subsequent
-// submissions fail with ErrDraining while already-queued work keeps
-// executing. It is the first half of a graceful drain.
+// submissions fail with ErrDraining, open admission windows close at once,
+// and already-queued work keeps executing. It is the first half of a
+// graceful drain.
 func (q *QPM) Quiesce() {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	q.quiesced = true
-	q.mu.Unlock()
+	now := time.Now()
+	for _, t := range q.tenants {
+		for _, j := range t.open {
+			if j.ready.After(now) {
+				j.ready = now
+			}
+		}
+	}
+	q.cond.Broadcast()
 }
 
 // Pending reports how many jobs are queued or running.
@@ -301,23 +415,130 @@ func (q *QPM) Drain(timeout time.Duration) bool {
 	return true
 }
 
-// Close drains the queue and stops the workers.
+// Close runs the queued work to completion and stops the workers.
 func (q *QPM) Close() {
+	q.Quiesce()
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
+	closed := q.closed
 	q.closed = true
-	close(q.queue)
+	q.cond.Broadcast()
 	q.mu.Unlock()
-	q.workerWG.Wait()
+	if !closed {
+		q.workerWG.Wait()
+	}
 }
 
-// submit is the one admission path: it validates the job, registers it and
-// enqueues it without blocking. It fails on an empty spec or binding list,
-// a gradient against a non-differentiating backend, a closed or draining
-// QPM, or a full queue; a rejected job leaves no trace in the table.
+// SetQueueCap replaces the bound on queued elements, shared by direct and
+// served traffic (tests and the load-shed probe shrink it).
+func (q *QPM) SetQueueCap(n int) {
+	q.mu.Lock()
+	q.queueCap = n
+	q.mu.Unlock()
+}
+
+// SetTenant configures a tenant's fair-share weight and outstanding-element
+// quota (zero values keep the current ones).
+func (q *QPM) SetTenant(name string, weight, quota int) {
+	q.mu.Lock()
+	t := q.tenantLocked(name)
+	if weight > 0 {
+		t.Weight = weight
+	}
+	if quota > 0 {
+		t.Quota = quota
+	}
+	q.mu.Unlock()
+}
+
+func (q *QPM) tenantLocked(name string) *tenant {
+	t, ok := q.tenants[name]
+	if !ok {
+		t = &tenant{TenantStats: TenantStats{Weight: 1}, name: name, open: make(map[string]*job)}
+		q.tenants[name] = t
+	}
+	return t
+}
+
+// SchedStats snapshots the scheduler's queue and tenant accounting.
+func (q *QPM) SchedStats() SchedStats {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	st := SchedStats{Queued: q.queued, PeakQueued: q.peakQueued, Groups: q.groups, Tenants: make(map[string]TenantStats, len(q.tenants))}
+	for name, t := range q.tenants {
+		st.Tenants[name] = t.TenantStats
+	}
+	return st
+}
+
+// admitLocked is the one admission check, for direct and served work
+// alike: it fails on a closed or draining QPM, and sheds with a typed
+// ErrOverloaded when n more elements would pass the queued-element bound
+// or the tenant's quota (defaultQuota unless SetTenant set one). Admitted
+// elements count as queued; a tenant that was idle restarts at the global
+// virtual time, so it cannot bank credit and starve the others.
+func (q *QPM) admitLocked(t *tenant, n, defaultQuota int) error {
+	if q.closed {
+		return fmt.Errorf("qpm[%s]: closed", q.backend)
+	}
+	if q.quiesced {
+		return fmt.Errorf("qpm[%s]: %w", q.backend, ErrDraining)
+	}
+	quota := t.Quota
+	if quota <= 0 {
+		quota = defaultQuota
+	}
+	var why string
+	switch {
+	case q.queued+n > q.queueCap:
+		why = fmt.Sprintf("queue full (%d queued, cap %d)", q.queued, q.queueCap)
+	case quota > 0 && t.Outstanding+n > quota:
+		why = fmt.Sprintf("tenant %q has %d outstanding (quota %d)", t.name, t.Outstanding, quota)
+	default:
+		if len(t.jobs) == 0 && t.Outstanding == 0 {
+			t.pass = max(t.pass, q.vtime)
+		}
+		t.Outstanding += n
+		q.queued += n
+		q.peakQueued = max(q.peakQueued, q.queued)
+		q.gDepth.Record(float64(q.queued))
+		return nil
+	}
+	t.Shed += int64(n)
+	return fmt.Errorf("qpm[%s]: %w: %s; retry_after_ms=%d", q.backend, ErrOverloaded, why, retryAfterFor(q.queued)/time.Millisecond)
+}
+
+// enqueueLocked appends a new job of tenant t, admitted at now and ready
+// once the window (if any) ends, to the tenant's queue. RunOptions.TimeoutMS
+// becomes a deadline anchored at admission, so the window and the queue
+// wait count against the budget.
+func (q *QPM) enqueueLocked(t *tenant, spec CircuitSpec, opts RunOptions, now time.Time, window time.Duration) *job {
+	j := &job{
+		id:      fmt.Sprintf("%s-%d", q.backend, q.nextID.Add(1)),
+		t:       t,
+		spec:    spec,
+		opts:    opts,
+		created: now,
+		ready:   now.Add(window),
+		status:  StatusQueued,
+	}
+	if opts.TimeoutMS > 0 {
+		j.deadline = now.Add(time.Duration(opts.TimeoutMS) * time.Millisecond)
+	}
+	t.jobs = append(t.jobs, j)
+	q.inflight.Add(1)
+	if window > 0 {
+		time.AfterFunc(window, func() { q.mu.Lock(); q.cond.Signal(); q.mu.Unlock() })
+	} else {
+		q.cond.Signal()
+	}
+	return j
+}
+
+// submit is the direct admission path: it validates the job, registers it
+// in the table and queues it as tenant "" without blocking. It fails on an
+// empty spec or binding list, a gradient against a non-differentiating
+// backend, or any admitLocked refusal; a rejected job leaves no trace in
+// the table.
 func (q *QPM) submit(spec CircuitSpec, bindings []Bindings, opts RunOptions, op jobOp) (string, error) {
 	switch {
 	case op != opSample && op != opGrad:
@@ -329,35 +550,56 @@ func (q *QPM) submit(spec CircuitSpec, bindings []Bindings, opts RunOptions, op 
 	case len(bindings) == 0:
 		return "", fmt.Errorf("qpm[%s]: empty bindings", q.backend)
 	}
-	created := time.Now()
-	j := &job{
-		id:       fmt.Sprintf("%s-%d", q.backend, q.nextID.Add(1)),
-		spec:     spec,
-		bindings: bindings,
-		opts:     opts,
-		op:       op,
-		created:  created,
-		deadline: deadlineFor(created, opts),
-		status:   StatusQueued,
-		errs:     make([]string, len(bindings)),
-		done:     make(chan struct{}),
-	}
+	now := time.Now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return "", fmt.Errorf("qpm[%s]: closed", q.backend)
+	t := q.tenantLocked("")
+	if err := q.admitLocked(t, len(bindings), 0); err != nil {
+		return "", err
 	}
-	if q.quiesced {
-		return "", fmt.Errorf("qpm[%s]: %w", q.backend, ErrDraining)
-	}
-	select {
-	case q.queue <- j:
-	default:
-		return "", fmt.Errorf("qpm[%s]: queue full", q.backend)
-	}
-	q.inflight.Add(1)
+	j := q.enqueueLocked(t, spec, opts, now, 0)
+	j.bindings, j.op, j.done = bindings, op, make(chan struct{})
 	q.jobs[j.id] = j
 	return j.id, nil
+}
+
+// Admit queues one served submission; each element's Done fires when the
+// job carrying it finishes. It fails like submit, before any element is
+// queued.
+func (q *QPM) Admit(a Admission) error {
+	now := time.Now()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	t := q.tenantLocked(a.Tenant)
+	if err := q.admitLocked(t, len(a.Elems), a.Quota); err != nil {
+		return err
+	}
+	var j *job
+	for _, e := range a.Elems {
+		if a.Group != "" {
+			// Merge into the tenant's open job for the group.
+			j = t.open[a.Group]
+		}
+		if j == nil {
+			j = q.enqueueLocked(t, a.Spec, a.Opts, now, a.Window)
+			q.groups++
+			if j.group = a.Group; j.group != "" {
+				t.open[j.group] = j
+			}
+		}
+		e.enq = now
+		j.elems = append(j.elems, e)
+		j.bindings = append(j.bindings, e.Binding)
+		if j.group != "" && len(j.bindings) >= a.MaxBatch {
+			// Full: stop merging and end the window at once.
+			delete(t.open, a.Group)
+			if j.ready.After(now) {
+				j.ready = now
+				q.cond.Signal()
+			}
+		}
+	}
+	return nil
 }
 
 // Submit enqueues one circuit execution: a sample job whose single
@@ -394,12 +636,17 @@ func (q *QPM) run(j *job, worker string) {
 
 	var results []*Result
 	var grads []GradResult
+	j.errs = make([]string, len(j.bindings))
 	if cancelled {
 		// Deleted while queued: the job reaches a worker but must not
 		// trigger a backend execution.
 		j.errs[0] = "cancelled"
 	} else {
-		finish := q.rec.Span(j.what(), worker)
+		name, row := j.what(), worker
+		if j.elems != nil {
+			name, row = "serve:dispatch:"+j.spec.Name, "serve/"+q.backend+"/"+j.t.name
+		}
+		finish := q.rec.Span(name, row)
 		switch {
 		case j.op == opGrad:
 			grads = q.runGrad(j, worker)
@@ -424,8 +671,19 @@ func (q *QPM) run(j *job, worker string) {
 		j.status = StatusFailed
 		q.mFails.Add(failed)
 	}
-	close(j.done)
+	if j.done != nil {
+		close(j.done)
+	}
 	j.mu.Unlock()
+
+	n := len(j.bindings)
+	q.mu.Lock()
+	j.t.Outstanding -= n
+	j.t.Served += int64(n)
+	q.mu.Unlock()
+	for i, e := range j.elems {
+		e.Done(results[i], j.errs[i])
+	}
 }
 
 // runGrad evaluates a grad job as one executor call under the retry
@@ -440,7 +698,7 @@ func (q *QPM) runGrad(j *job, worker string) []GradResult {
 		j.errs[0] = err.Error()
 		return nil
 	}
-	q.observeTimings(taskTimings(j.created, started, time.Now(), rs))
+	q.observeTimings(taskTimings(j.created, j.ready, started, time.Now(), rs))
 	return grads
 }
 
@@ -503,7 +761,11 @@ func (q *QPM) execBatch(spec CircuitSpec, bindings []Bindings, opts RunOptions) 
 // single-element job's result carries the job id itself, so a single run's
 // TaskID is what Delete takes; batch elements are "id#i".
 func (q *QPM) result(j *job, i int, res ExecResult, started time.Time, exec time.Duration, rs faults.RetryStats) *Result {
-	tm := taskTimings(j.created, started, started.Add(exec), rs)
+	enq := j.created
+	if j.elems != nil {
+		enq = j.elems[i].enq
+	}
+	tm := taskTimings(enq, j.ready, started, started.Add(exec), rs)
 	q.observeTimings(tm)
 	id := j.id
 	if len(j.bindings) > 1 {
@@ -522,19 +784,25 @@ func (q *QPM) result(j *job, i int, res ExecResult, started time.Time, exec time
 	}
 }
 
-// taskTimings assembles the breakdown of one executed element: queue
-// wait, execution wall time with retry backoff split out, and the total
-// as the exact component sum (so clients can always reconcile the parts
-// against the whole).
-func taskTimings(created, started, finished time.Time, rs faults.RetryStats) Timings {
+// taskTimings assembles the breakdown of one executed element: the
+// admission window's hold (enqueue until the job became ready; an element
+// merged after that point waited none), the queue wait from ready until a
+// worker picked the job, and execution wall time with retry backoff split
+// out. The total is the exact component sum, so clients can always
+// reconcile the parts against the whole.
+func taskTimings(enq, ready, started, finished time.Time, rs faults.RetryStats) Timings {
 	const ms = float64(time.Millisecond)
-	queue := float64(started.Sub(created)) / ms
+	if ready.Before(enq) {
+		ready = enq
+	}
+	coalesce := float64(ready.Sub(enq)) / ms
+	queue := float64(started.Sub(ready)) / ms
 	backoff := float64(rs.Backoff) / ms
 	exec := float64(finished.Sub(started))/ms - backoff
 	if exec < 0 {
 		exec = 0
 	}
-	tm := Timings{QueueMS: queue, ExecMS: exec, RetryBackoffMS: backoff, Attempts: rs.Attempts}
+	tm := Timings{CoalesceWaitMS: coalesce, QueueMS: queue, ExecMS: exec, RetryBackoffMS: backoff, Attempts: rs.Attempts}
 	tm.TotalMS = tm.Sum()
 	return tm
 }

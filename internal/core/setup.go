@@ -233,8 +233,8 @@ func Launch(cfg Config) (*Session, error) {
 // StartUtilizationSampler begins recording per-backend device-utilization
 // time series (gauge qfw_utilization{backend=...}, busy fraction across
 // each QPM's QRC workers per window). It returns the sampler so callers
-// can add further sources (e.g. serve-layer dispatch lanes); Teardown
-// stops it. A second call returns the already-running sampler.
+// can add further sources; Teardown stops it. A second call returns the
+// already-running sampler.
 func (s *Session) StartUtilizationSampler(window time.Duration) *trace.UtilSampler {
 	s.mu.Lock()
 	if s.sampler != nil {
@@ -286,8 +286,8 @@ func (s *Session) Executor(backend string) Executor {
 }
 
 // Drain performs the admission half of a graceful shutdown: every QPM stops
-// accepting work immediately, then in-flight tasks get up to timeout to
-// finish. It reports whether all queues fully drained; Teardown still
+// accepting work immediately and closes its open admission windows, then
+// queued and in-flight tasks get up to timeout to finish. It reports whether all queues fully drained; Teardown still
 // applies afterwards either way.
 func (s *Session) Drain(timeout time.Duration) bool {
 	for _, q := range s.qpms {

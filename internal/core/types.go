@@ -5,7 +5,8 @@
 //     and backends (CircuitSpec, RunOptions, Result),
 //   - the Quantum Platform Manager (QPM): the central dispatcher owning the
 //     job queue and lifecycle (submit / status / wait / delete); single
-//     runs, batches and gradients are one job type,
+//     runs, batches and gradients are one job type, and the queue is the
+//     one tenant-fair, coalescing scheduler for direct and served work,
 //   - the Quantum Resource Controller (QRC): the worker threads that launch
 //     backend executions across the allocation,
 //   - the QFwBackend frontend used by applications, speaking to QPMs over
@@ -24,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"qfw/internal/circuit"
 )
@@ -137,10 +139,12 @@ func (o RunOptions) ForElement(i int) RunOptions {
 type Timings struct {
 	// CacheLookupMS is the serving layer's content-addressed cache probe.
 	CacheLookupMS float64 `json:"cache_lookup_ms,omitempty"`
-	// CoalesceWaitMS is time spent in the serving layer's admission window
-	// and fair-share queue before the element's unit dispatched.
+	// CoalesceWaitMS is the time the admission window held the element:
+	// from its enqueue until its job became ready (0 for direct submits,
+	// which are ready at once).
 	CoalesceWaitMS float64 `json:"coalesce_wait_ms,omitempty"`
-	// QueueMS is time waiting in the QPM queue for a QRC worker.
+	// QueueMS is the time from the job becoming ready until a QRC worker
+	// slot picked it up.
 	QueueMS float64 `json:"queue_ms"`
 	// ExecMS is backend execution time (retry backoff excluded; for
 	// batch-native chunks it is the chunk mean, elements share one call).
@@ -222,6 +226,49 @@ func IsDraining(err error) bool {
 		return true
 	}
 	return strings.Contains(err.Error(), ErrDraining.Error())
+}
+
+// ErrOverloaded is the typed load-shedding error: the submission was
+// rejected because the QPM's queued-element bound or a tenant quota was
+// hit. Clients back off and retry instead of growing the queue without
+// bound.
+var ErrOverloaded = errors.New("overloaded: load shed")
+
+// IsOverloaded detects ErrOverloaded even after the error has crossed an
+// RPC boundary and been flattened to a string.
+func IsOverloaded(err error) bool {
+	if err == nil {
+		return false
+	}
+	if errors.Is(err, ErrOverloaded) {
+		return true
+	}
+	return strings.Contains(err.Error(), ErrOverloaded.Error())
+}
+
+// retryAfterFor sizes the backoff hint a shed carries: deeper queues mean
+// longer waits before capacity frees, capped at a quarter second.
+func retryAfterFor(depth int) time.Duration {
+	return min(time.Duration(1+depth)*time.Millisecond, 250*time.Millisecond)
+}
+
+// RetryAfterHint extracts the retry_after_ms hint a shed error carries.
+// It works on flattened client-side errors (the hint rides in the message
+// exactly so it survives the RPC boundary).
+func RetryAfterHint(err error) (time.Duration, bool) {
+	if err == nil {
+		return 0, false
+	}
+	msg := err.Error()
+	i := strings.Index(msg, "retry_after_ms=")
+	if i < 0 {
+		return 0, false
+	}
+	var ms int64
+	if _, serr := fmt.Sscanf(msg[i:], "retry_after_ms=%d", &ms); serr != nil || ms < 0 {
+		return 0, false
+	}
+	return time.Duration(ms) * time.Millisecond, true
 }
 
 // ErrDeadlineExceeded marks tasks that missed their RunOptions.TimeoutMS

@@ -208,6 +208,11 @@ func (s *Server) Close() {
 // actually sends an oversized length prefix tears the transport down.
 var maxFrameBytes = uint32(1 << 28)
 
+// exactFrameBytes is the largest frame read into one allocation sized from
+// its length prefix. Longer frames grow as their bytes arrive, so a forged
+// prefix cannot make the reader allocate more than the peer actually sends.
+const exactFrameBytes = 64 << 10
+
 func readFrame(r io.Reader) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -216,6 +221,13 @@ func readFrame(r io.Reader) ([]byte, error) {
 	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n > maxFrameBytes {
 		return nil, fmt.Errorf("defw: frame too large (%d bytes)", n)
+	}
+	if n > exactFrameBytes {
+		buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+		if err == nil && len(buf) < int(n) {
+			err = io.ErrUnexpectedEOF
+		}
+		return buf, err
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {

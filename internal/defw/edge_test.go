@@ -2,6 +2,7 @@ package defw
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -12,6 +13,41 @@ func TestOversizedFrameRejected(t *testing.T) {
 	buf.Write([]byte{0x40, 0x00, 0x00, 0x00})
 	if _, err := readFrame(&buf); err == nil {
 		t.Fatal("oversized frame accepted")
+	}
+}
+
+// TestForgedFrameHeaderAllocatesOnlyWhatArrives: a length prefix claiming
+// 128 MiB followed by EOF must fail without the reader allocating anywhere
+// near the claimed size.
+func TestForgedFrameHeaderAllocatesOnlyWhatArrives(t *testing.T) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	_, err := readFrame(bytes.NewReader([]byte{0x08, 0x00, 0x00, 0x00}))
+	runtime.ReadMemStats(&ms)
+	if err == nil {
+		t.Fatal("forged frame with no payload accepted")
+	}
+	if grew := ms.TotalAlloc - before; grew >= 1<<20 {
+		t.Fatalf("forged 128 MiB header allocated %d bytes before any payload arrived", grew)
+	}
+}
+
+// TestLargeFrameRoundTrip: a frame above the exact-allocation size still
+// round-trips byte for byte, and one cut short fails.
+func TestLargeFrameRoundTrip(t *testing.T) {
+	payload := bytes.Repeat([]byte("0123456789"), 30000)
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, payload); err != nil {
+		t.Fatal(err)
+	}
+	wire := buf.Bytes()
+	got, err := readFrame(bytes.NewReader(wire))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("large frame round trip: %d bytes, err %v", len(got), err)
+	}
+	if _, err := readFrame(bytes.NewReader(wire[:len(wire)-1])); err == nil {
+		t.Fatal("truncated large frame accepted")
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -140,7 +141,7 @@ func TestOverloadErrorSurvivesRPC(t *testing.T) {
 	q := core.NewQPM(f, 1, nil)
 	defer q.Close()
 	defer f.open()
-	srv := New(q, Config{Inflight: 1, QueueCap: 1, Quota: 100}, nil)
+	srv := New(q, Config{QueueCap: 1, Quota: 100}, nil)
 	defer srv.Close()
 
 	rpc := defw.NewServer()
@@ -163,11 +164,91 @@ func TestOverloadErrorSurvivesRPC(t *testing.T) {
 	if err == nil {
 		t.Fatal("over-cap RPC submission succeeded")
 	}
-	if !IsOverloaded(err) {
+	if !core.IsOverloaded(err) {
 		t.Fatalf("RPC-flattened shed error %v does not satisfy IsOverloaded", err)
 	}
-	if d, ok := RetryAfterHint(err); !ok || d <= 0 {
+	if d, ok := core.RetryAfterHint(err); !ok || d <= 0 {
 		t.Fatalf("client-side shed error carries no retry hint: %v", err)
 	}
 	f.open()
+}
+
+// TestDirectAndServedShareOneBoundAndFairShare: direct Frontend clients are
+// the QPM scheduler's tenant "", so they share the one queued-element bound
+// and the stride fair share with served tenants. On a one-worker QPM held
+// by a blocker, a direct client and two served tenants fill the bound; one
+// more submission from any of them sheds, and once released the three equal
+// weights interleave, each served once in every three dispatches.
+func TestDirectAndServedShareOneBoundAndFairShare(t *testing.T) {
+	const bound = 6
+	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
+	s := newServe(t, f, 1, Config{QueueCap: bound})
+	rpc := defw.NewServer()
+	rpc.Register(core.ServiceName("fake"), s.qpm)
+	defer rpc.Close()
+	front, err := core.NewFrontend(defw.NewPipeClient(rpc), core.Properties{Backend: "fake"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := circuit.New(1)
+	direct.H(0).MeasureAll()
+	direct.Name = "direct"
+
+	var wg sync.WaitGroup
+	served := func(tenant string, seed int64) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, errs, _, err := s.Exec(tenant, testSpec(tenant), nil, core.RunOptions{Shots: 1, Seed: seed}); err != nil || errs[0] != "" {
+				t.Errorf("tenant %s: %v %v", tenant, err, errs)
+			}
+		}()
+	}
+	served("blocker", 1)
+	waitFor(t, "blocker running", func() bool { return f.calls() == 1 })
+
+	var pending []*core.Pending
+	for i := 0; i < bound/3; i++ {
+		p, err := front.RunAsync(direct, core.RunOptions{Shots: 1, Seed: int64(10 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, p)
+		served("a", int64(20+i))
+		served("b", int64(30+i))
+	}
+	waitFor(t, "bound filled", func() bool { return s.Stats().QueueDepth == bound })
+
+	if _, err := front.RunAsync(direct, core.RunOptions{Shots: 1, Seed: 99}); !core.IsOverloaded(err) {
+		t.Fatalf("direct submit over the shared bound returned %v, want ErrOverloaded", err)
+	}
+	for _, tenant := range []string{"a", "b"} {
+		if _, _, _, err := s.Exec(tenant, testSpec(tenant), nil, core.RunOptions{Shots: 1, Seed: 99}); !core.IsOverloaded(err) {
+			t.Fatalf("tenant %s over the shared bound returned %v, want ErrOverloaded", tenant, err)
+		}
+	}
+	f.open()
+	wg.Wait()
+	for _, p := range pending {
+		if _, err := p.Result(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.PeakQueueDepth > bound {
+		t.Fatalf("peak queued elements %d exceed the one bound %d", st.PeakQueueDepth, bound)
+	}
+
+	order := f.dispatchOrder()[1:] // drop the blocker
+	if len(order) != bound {
+		t.Fatalf("dispatched %d jobs, want %d (order %v)", len(order), bound, order)
+	}
+	for i := 0; i < len(order); i += 3 {
+		seen := map[string]int{}
+		for _, name := range order[i : i+3] {
+			seen[name]++
+		}
+		if seen["direct"] != 1 || seen["a"] != 1 || seen["b"] != 1 {
+			t.Fatalf("dispatches %d-%d = %v, want each class once under equal weights (order %v)", i, i+2, order[i:i+3], order)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"testing"
+	"time"
 
 	"qfw/internal/core"
 	"qfw/internal/trace"
@@ -41,6 +42,29 @@ func TestServeTimingsBreakdownSumsToTotal(t *testing.T) {
 	}
 	if hit.CacheLookupMS < 0 || hit.TotalMS != hit.Sum() {
 		t.Fatalf("replay timing accounting broken: %+v", hit)
+	}
+
+	// A windowed, mergeable element reports the window's hold as
+	// CoalesceWaitMS; QueueMS starts once its job is ready.
+	w := newServe(t, &fakeExec{deterministic: true}, 2, Config{Window: 5 * time.Millisecond})
+	held := mustExec(t, w, "a", sp, nil, core.RunOptions{Shots: 16})[0].Timings
+	if held.CoalesceWaitMS <= 0 || held.QueueMS < 0 || held.TotalMS != held.Sum() {
+		t.Fatalf("windowed element timings %+v, want CoalesceWaitMS > 0 and an exact sum", held)
+	}
+
+	// A direct submit is ready at once: no coalesce wait.
+	q := core.NewQPM(&fakeExec{deterministic: true}, 1, nil)
+	defer q.Close()
+	id, err := q.Submit(sp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := q.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Timings; d.CoalesceWaitMS != 0 || d.QueueMS < 0 || d.TotalMS != d.Sum() {
+		t.Fatalf("direct run timings %+v, want CoalesceWaitMS == 0 and an exact sum", d)
 	}
 }
 

@@ -1,28 +1,23 @@
 // Package serve is the multi-tenant serving layer between the DEFw RPC
 // surface and a backend QPM: the piece that turns the single-job demo
-// daemon into a traffic-bearing service. Three cooperating mechanisms make
-// repeated and concurrent traffic fast and keep tenants isolated:
+// daemon into a traffic-bearing service. It is the cache, single-flight
+// and RPC front over the QPM's one scheduler:
 //
 //   - a content-addressed result cache (exact-hit replay of deterministic
 //     seeded runs, expectation-value memoization for analytic queries) with
 //     single-flight deduplication, so N concurrent identical submissions
 //     trigger one execution and repeats are served from memory;
-//   - session-affine batch coalescing: a short admission window merges many
-//     small submissions sharing a spec hash into one QPM batch, riding the
-//     compile-once-per-batch machinery of the execution engines;
-//   - a weighted fair-share scheduler (stride scheduling over per-tenant
-//     FIFO queues) with per-tenant quotas and bounded queues that shed load
-//     with a typed ErrOverloaded instead of growing without bound.
-//
-// Queue-depth and utilization telemetry rides the session's trace.Recorder
-// next to the execution spans.
+//   - tenant-tagged admission into the QPM's weighted fair-share queue:
+//     mergeable submissions (analytic queries, unseeded singles) carry a
+//     group key, so a short admission window coalesces them into one QPM
+//     job riding the compile-once-per-batch machinery of the engines, and
+//     tenant quotas and the QPM's one queue bound shed load with a typed
+//     core.ErrOverloaded instead of growing without bound.
 package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,52 +25,6 @@ import (
 	"qfw/internal/core"
 	"qfw/internal/trace"
 )
-
-// ErrOverloaded is the typed load-shedding error: the submission was
-// rejected because a queue bound or tenant quota was hit. Clients back off
-// and retry instead of growing the server's queues without bound.
-var ErrOverloaded = errors.New("serve: overloaded")
-
-// IsOverloaded detects ErrOverloaded even after the error has crossed an
-// RPC boundary and been flattened to a string.
-func IsOverloaded(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrOverloaded) {
-		return true
-	}
-	return strings.Contains(err.Error(), ErrOverloaded.Error())
-}
-
-// retryAfterFor sizes the backoff hint a shed carries: deeper queues mean
-// longer waits before capacity frees, capped at a quarter second.
-func retryAfterFor(depth int) time.Duration {
-	d := time.Duration(1+depth) * time.Millisecond
-	if d > 250*time.Millisecond {
-		d = 250 * time.Millisecond
-	}
-	return d
-}
-
-// RetryAfterHint extracts the retry_after_ms hint a shed error carries.
-// It works on flattened client-side errors (the hint rides in the message
-// exactly so it survives the RPC boundary).
-func RetryAfterHint(err error) (time.Duration, bool) {
-	if err == nil {
-		return 0, false
-	}
-	msg := err.Error()
-	i := strings.Index(msg, "retry_after_ms=")
-	if i < 0 {
-		return 0, false
-	}
-	var ms int64
-	if _, serr := fmt.Sscanf(msg[i:], "retry_after_ms=%d", &ms); serr != nil || ms < 0 {
-		return 0, false
-	}
-	return time.Duration(ms) * time.Millisecond, true
-}
 
 // ServiceName returns the DEFw service a backend's serving layer registers
 // under (beside the raw "qpm.<backend>" service).
@@ -88,125 +37,42 @@ type Config struct {
 	// CacheCap bounds the result cache (entries). 0 means the default
 	// (4096); negative disables caching and single-flight deduplication.
 	CacheCap int
-	// Window is the coalescing admission window: a queued submission waits
-	// this long for same-spec friends before dispatch. 0 disables the
-	// wait (bursts still coalesce while dispatch slots are busy).
+	// Window is the coalescing admission window: a mergeable submission
+	// waits this long for same-group friends before its job is ready. 0
+	// disables the wait (bursts still coalesce while every worker is busy).
 	Window time.Duration
-	// MaxBatch caps the elements of one coalesced dispatch (default 64).
+	// MaxBatch caps the elements of one coalesced job (default 64).
 	MaxBatch int
-	// QueueCap bounds the total queued elements across tenants; submissions
-	// over the bound shed with ErrOverloaded (default 1024).
+	// QueueCap, when positive, shrinks the QPM's queued-element bound,
+	// which direct and served submissions share (default 1024).
 	QueueCap int
 	// Quota is the default per-tenant bound on outstanding (queued +
-	// dispatched) elements (default QueueCap). SetTenant overrides it.
+	// running) elements; 0 leaves only the shared queue bound. SetTenant
+	// overrides it.
 	Quota int
-	// Inflight bounds concurrently dispatched QPM batches (default: the
-	// QPM's worker count).
-	Inflight int
 }
 
-func (c Config) withDefaults(workers int) Config {
-	if c.CacheCap == 0 {
-		c.CacheCap = 4096
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 1024
-	}
-	if c.Quota <= 0 {
-		c.Quota = c.QueueCap
-	}
-	if c.Inflight <= 0 {
-		c.Inflight = workers
-	}
-	return c
-}
-
-// elem is one schedulable circuit execution owned by a submission.
+// elem is one element of an Exec call.
 type elem struct {
 	sub      *submission
 	idx      int
-	binding  core.Bindings
 	key      string // cache key; "" when the element is not cacheable
+	hit      bool   // resolved from the cache; a whole-batch recompute skips it
 	leader   bool   // owns the single-flight entry for key
-	enq      time.Time
-	lookupMS float64 // cache-lookup cost carried into the result's Timings
+	lookupMS float64
 }
 
-// submission tracks one Exec call's elements until all resolve.
+// submission collects one Exec call's element outcomes; each element
+// resolves exactly once.
 type submission struct {
-	mu        sync.Mutex
-	settled   []bool
-	results   []*core.Result
-	errs      []string
-	remaining int
-	done      chan struct{}
+	results []*core.Result
+	errs    []string
+	wg      sync.WaitGroup
 }
 
-func newSubmission(n int) *submission {
-	return &submission{
-		settled:   make([]bool, n),
-		results:   make([]*core.Result, n),
-		errs:      make([]string, n),
-		remaining: n,
-		done:      make(chan struct{}),
-	}
-}
-
-// resolve records one element outcome; it is idempotent so a cache hit
-// resolved early is not double-counted when its batch also recomputes it.
 func (s *submission) resolve(i int, res *core.Result, errStr string) {
-	s.mu.Lock()
-	if s.settled[i] {
-		s.mu.Unlock()
-		return
-	}
-	s.settled[i] = true
-	s.results[i] = res
-	s.errs[i] = errStr
-	s.remaining--
-	last := s.remaining == 0
-	s.mu.Unlock()
-	if last {
-		close(s.done)
-	}
-}
-
-// unit is one dispatchable group: a spec plus ordered elements that will
-// travel as a single QPM SubmitBatch. Mergeable units (analytic queries and
-// unseeded singles, where per-element seeds carry no replay contract) keep
-// absorbing same-group arrivals until dispatch.
-type unit struct {
-	tenant   string
-	groupKey string // "" = never merged (seed schedule is load-bearing)
-	spec     core.CircuitSpec
-	opts     core.RunOptions
-	elems    []*elem
-	enq      time.Time
-}
-
-// flight is one in-progress execution other submissions can ride instead of
-// recomputing (single-flight deduplication).
-type flight struct {
-	mu      sync.Mutex
-	done    bool
-	res     *core.Result
-	errStr  string
-	waiters []*elem
-}
-
-type tenantQueue struct {
-	name        string
-	weight      int
-	quota       int
-	pass        float64 // stride-scheduling virtual time
-	units       []*unit
-	open        map[string]*unit // queued mergeable units by group key
-	outstanding int              // queued + dispatched elements
-	served      int64
-	shed        int64
+	s.results[i], s.errs[i] = res, errStr
+	s.wg.Done()
 }
 
 // Server is the serving layer of one backend QPM.
@@ -216,56 +82,46 @@ type Server struct {
 	caps    core.Capabilities
 	cfg     Config
 	cache   *resultCache // nil when disabled
-	rec     *trace.Recorder
+	start   time.Time
+	busy0   int64 // QPM busy time at start, so utilization covers this layer's life
 
-	mu        sync.Mutex
-	tenants   map[string]*tenantQueue
-	flights   map[string]*flight
-	queued    int // queued elements across tenants
-	peakDepth int
-	vtime     float64 // virtual time: pass of the last dispatched tenant
-	draining  bool
-	closed    bool
+	mu      sync.Mutex
+	flights map[string][]*elem // single-flight: key -> followers riding its leader
+	closed  atomic.Bool
 
-	wake  chan struct{}
-	stopc chan struct{}
-	sem   chan struct{} // bounds concurrent dispatched batches
-	wg    sync.WaitGroup
-
-	start    time.Time
-	hits     atomic.Int64
-	misses   atomic.Int64
-	deduped  atomic.Int64
-	shedded  atomic.Int64
-	served   atomic.Int64
-	groups   atomic.Int64
-	grpElems atomic.Int64
-	busyNS   atomic.Int64
+	hits    atomic.Int64
+	misses  atomic.Int64
+	deduped atomic.Int64
+	shedded atomic.Int64
+	served  atomic.Int64
 
 	// Resolved metric handles (shared registry, labeled by backend).
 	mHits, mMisses, mDeduped, mShed, mServed *trace.Counter
 	hReq                                     *trace.Histogram
-	gDepth                                   *trace.Gauge
 }
 
-// New builds and starts the serving layer over a QPM. rec may be nil.
+// New builds the serving layer over a QPM. rec may be nil.
 func New(qpm *core.QPM, cfg Config, rec *trace.Recorder) *Server {
 	if rec == nil {
 		rec = qpm.Recorder()
 	}
-	cfg = cfg.withDefaults(qpm.Workers())
+	if cfg.CacheCap == 0 {
+		cfg.CacheCap = 4096
+	}
+	if cfg.MaxBatch <= 0 {
+		cfg.MaxBatch = 64
+	}
+	if cfg.QueueCap > 0 {
+		qpm.SetQueueCap(cfg.QueueCap)
+	}
 	s := &Server{
 		backend: qpm.Backend(),
 		qpm:     qpm,
 		caps:    qpm.Capabilities(),
 		cfg:     cfg,
-		rec:     rec,
-		tenants: make(map[string]*tenantQueue),
-		flights: make(map[string]*flight),
-		wake:    make(chan struct{}, 1),
-		stopc:   make(chan struct{}),
-		sem:     make(chan struct{}, cfg.Inflight),
 		start:   time.Now(),
+		busy0:   qpm.BusyNS(),
+		flights: make(map[string][]*elem),
 	}
 	if cfg.CacheCap > 0 {
 		s.cache = newResultCache(cfg.CacheCap)
@@ -277,46 +133,15 @@ func New(qpm *core.QPM, cfg Config, rec *trace.Recorder) *Server {
 	s.mShed = met.Counter(trace.LabeledName("qfw_serve_shed_total", "backend", s.backend))
 	s.mServed = met.Counter(trace.LabeledName("qfw_serve_served_total", "backend", s.backend))
 	s.hReq = met.Histogram(trace.LabeledName("qfw_serve_request_ms", "backend", s.backend))
-	s.gDepth = met.Gauge(trace.LabeledName("qfw_serve_queue_depth", "backend", s.backend))
-	s.wg.Add(1)
-	go s.dispatcher()
 	return s
 }
 
 // Backend returns the backend this serving layer fronts.
 func (s *Server) Backend() string { return s.backend }
 
-// BusyNS returns the cumulative busy nanoseconds across the dispatch
-// slots — the source a trace.UtilSampler turns into the serving layer's
-// utilization time series.
-func (s *Server) BusyNS() int64 { return s.busyNS.Load() }
-
-// Slots returns the number of concurrent dispatch slots (the denominator
-// of the utilization fraction).
-func (s *Server) Slots() int { return s.cfg.Inflight }
-
 // SetTenant configures a tenant's fair-share weight and outstanding-element
-// quota (zero values keep the defaults).
-func (s *Server) SetTenant(name string, weight, quota int) {
-	s.mu.Lock()
-	t := s.tenantLocked(name)
-	if weight > 0 {
-		t.weight = weight
-	}
-	if quota > 0 {
-		t.quota = quota
-	}
-	s.mu.Unlock()
-}
-
-func (s *Server) tenantLocked(name string) *tenantQueue {
-	t, ok := s.tenants[name]
-	if !ok {
-		t = &tenantQueue{name: name, weight: 1, quota: s.cfg.Quota, open: make(map[string]*unit)}
-		s.tenants[name] = t
-	}
-	return t
-}
+// quota in the QPM scheduler (zero values keep the current ones).
+func (s *Server) SetTenant(name string, weight, quota int) { s.qpm.SetTenant(name, weight, quota) }
 
 // ExecInfo summarizes how a submission was served.
 type ExecInfo struct {
@@ -328,7 +153,7 @@ type ExecInfo struct {
 // of a tenant and blocks until every element resolves. Results come back
 // ordered with parallel per-element error strings ("" for success). The
 // top-level error is non-nil only when the whole submission was rejected
-// (draining, closed, bad spec, or shed with ErrOverloaded).
+// (draining, closed, bad spec, or shed with core.ErrOverloaded).
 func (s *Server) Exec(tenant string, spec core.CircuitSpec, bindings []core.Bindings, opts core.RunOptions) ([]*core.Result, []string, ExecInfo, error) {
 	var info ExecInfo
 	if spec.QASM == "" {
@@ -346,53 +171,45 @@ func (s *Server) Exec(tenant string, spec core.CircuitSpec, bindings []core.Bind
 
 	clientSeeded := opts.Seed != 0
 	analytic := opts.Shots == 0 && opts.Observable != nil
-	replayable := s.caps.DeterministicSeeded
-	// Mergeable elements carry no per-element seed contract: analytic
-	// queries (no sampling) and unseeded singles (caller accepted arbitrary
-	// sampling). Everything else keeps its submission's seed schedule and
-	// travels as one intact group.
-	mergeable := analytic || (single && !clientSeeded)
-
-	sub := newSubmission(k)
-	eopts := make([]core.RunOptions, k)
+	cacheable := s.cache != nil && s.caps.DeterministicSeeded && (analytic || clientSeeded)
+	sub := &submission{results: make([]*core.Result, k), errs: make([]string, k)}
+	sub.wg.Add(k)
 	elems := make([]*elem, k)
 	for i := range bindings {
-		eo := opts
-		if !single {
-			// Element seeds follow the QPM batch schedule so serving a batch
-			// is bit-identical to submitting it to the QPM directly.
-			eo = opts.ForElement(i)
-		}
-		eopts[i] = eo
-		e := &elem{sub: sub, idx: i, binding: bindings[i]}
-		if replayable && (analytic || clientSeeded) && s.cache != nil {
+		e := &elem{sub: sub, idx: i}
+		if cacheable {
+			eo := opts
+			if !single {
+				// Element seeds follow the QPM batch schedule so serving a
+				// batch is bit-identical to submitting it directly.
+				eo = opts.ForElement(i)
+			}
 			e.key = cacheKey(spec, bindings[i], eo, analytic)
 		}
 		elems[i] = e
 	}
 
-	var groupKey string
+	adm := core.Admission{Tenant: tenant, Spec: spec, Opts: opts, MaxBatch: s.cfg.MaxBatch, Quota: s.cfg.Quota}
+	// Mergeable elements carry no per-element seed contract: analytic
+	// queries (no sampling) and unseeded singles (caller accepted arbitrary
+	// sampling). Only they wait out the admission window; everything else
+	// keeps its submission's seed schedule and travels as one intact job.
+	mergeable := analytic || (single && !clientSeeded)
 	if mergeable {
+		adm.Window = s.cfg.Window
 		norm := opts
 		norm.Seed = 0
-		class := "u"
+		class := "u|"
 		if analytic {
-			class = "a"
+			class = "a|"
 		}
-		groupKey = class + "|" + cacheKey(spec, nil, norm, analytic)
+		adm.Group = class + cacheKey(spec, nil, norm, analytic)
 	}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Load() {
 		return nil, nil, info, fmt.Errorf("serve[%s]: closed", s.backend)
 	}
-	if s.draining {
-		s.mu.Unlock()
-		return nil, nil, info, fmt.Errorf("serve[%s]: %w", s.backend, core.ErrDraining)
-	}
-	t := s.tenantLocked(tenant)
-
+	s.mu.Lock()
 	// Resolve what never needs the queue: cache hits and rides on in-flight
 	// identical executions.
 	var need []*elem
@@ -409,118 +226,90 @@ func (s *Server) Exec(tenant string, spec core.CircuitSpec, bindings []core.Bind
 				// zeroed breakdown so clients can still reconcile TotalMS.
 				res.Timings.CacheLookupMS = lookMS
 				res.Timings.TotalMS = res.Timings.Sum()
+				e.hit = true
 				e.sub.resolve(e.idx, res, "")
 				continue
 			}
 			e.lookupMS = lookMS
 			s.misses.Add(1)
 			s.mMisses.Inc()
-			if single {
-				if fl, ok := s.flights[e.key]; ok {
-					s.deduped.Add(1)
-					s.mDeduped.Inc()
-					info.Deduped++
-					attachFollower(fl, e)
-					continue
-				}
+			if followers, ok := s.flights[e.key]; ok && single {
+				s.deduped.Add(1)
+				s.mDeduped.Inc()
+				info.Deduped++
+				s.flights[e.key] = append(followers, e)
+				continue
 			}
 		}
 		need = append(need, e)
 	}
-
 	if len(need) > 0 && !mergeable && len(need) < k {
 		// A seed-scheduled batch recomputes whole or not at all: partial
-		// replay would shift the remaining elements' dispatch indices (and
-		// thus seeds). Hits already resolved above stay resolved — resolve
-		// is idempotent, so recomputed duplicates are dropped.
+		// replay would shift the remaining elements' batch indices (and
+		// thus seeds). Hits already resolved above stay resolved; their
+		// recomputed duplicates are dropped.
 		need = elems
 	}
-
+	var err error
 	if len(need) > 0 {
-		if t.outstanding+len(need) > t.quota || s.queued+len(need) > s.cfg.QueueCap {
-			t.shed += int64(len(need))
-			s.shedded.Add(int64(len(need)))
-			s.mShed.Add(int64(len(need)))
-			depth := s.queued
-			s.mu.Unlock()
-			err := fmt.Errorf("serve[%s]: %w: tenant %q has %d outstanding (quota %d), %d queued (cap %d); retry_after_ms=%d",
-				s.backend, ErrOverloaded, tenant, t.outstanding, t.quota, depth, s.cfg.QueueCap,
-				retryAfterFor(depth)/time.Millisecond)
-			for _, e := range need {
-				e.sub.resolve(e.idx, nil, err.Error())
-			}
-			<-sub.done
-			s.hReq.Observe(float64(time.Since(reqStart)) / float64(time.Millisecond))
-			return sub.results, sub.errs, info, err
+		lead := single && need[0].key != ""
+		if lead {
+			need[0].leader = true
+			s.flights[need[0].key] = nil
 		}
-		s.admitLocked(t, groupKey, spec, opts, eopts[0], need, single, clientSeeded)
+		adm.Elems = make([]core.Element, len(need))
+		for i, e := range need {
+			adm.Elems[i] = core.Element{Binding: bindings[e.idx], Done: func(res *core.Result, errStr string) { s.complete(e, res, errStr) }}
+		}
+		if err = s.qpm.Admit(adm); err != nil && lead {
+			delete(s.flights, need[0].key)
+		}
 	}
 	s.mu.Unlock()
-	s.signal()
 
-	<-sub.done
-	s.hReq.Observe(float64(time.Since(reqStart)) / float64(time.Millisecond))
-	return sub.results, sub.errs, info, nil
-}
-
-// admitLocked queues the elements that must execute. Mergeable elements
-// join an open same-group unit of their tenant when one is waiting;
-// everything else forms a new unit. Callers hold s.mu.
-func (s *Server) admitLocked(t *tenantQueue, groupKey string, spec core.CircuitSpec, opts, headOpts core.RunOptions, need []*elem, single, clientSeeded bool) {
-	if len(t.units) == 0 && t.outstanding == 0 {
-		// (Re)activation: start at the global virtual time so an idle tenant
-		// cannot bank credit and starve the others when it returns.
-		if t.pass < s.vtime {
-			t.pass = s.vtime
+	if err != nil {
+		if core.IsOverloaded(err) {
+			s.shedded.Add(int64(len(need)))
+			s.mShed.Add(int64(len(need)))
 		}
-	}
-	if groupKey != "" {
 		for _, e := range need {
-			u := t.open[groupKey]
-			if u == nil || len(u.elems) >= s.cfg.MaxBatch {
-				u = &unit{tenant: t.name, groupKey: groupKey, spec: spec, opts: headOpts, enq: time.Now()}
-				t.open[groupKey] = u
-				t.units = append(t.units, u)
-			}
-			u.elems = append(u.elems, e)
-			if single && e.key != "" {
-				e.leader = true
-				s.flights[e.key] = &flight{}
+			if !e.hit {
+				e.sub.resolve(e.idx, nil, err.Error())
 			}
 		}
-	} else {
-		dispatchOpts := opts
-		if single {
-			dispatchOpts = headOpts
-		}
-		u := &unit{tenant: t.name, spec: spec, opts: dispatchOpts, elems: need, enq: time.Now()}
-		t.units = append(t.units, u)
-		if single && clientSeeded && need[0].key != "" {
-			need[0].leader = true
-			s.flights[need[0].key] = &flight{}
-		}
 	}
-	now := time.Now()
-	for _, e := range need {
-		e.enq = now
-	}
-	t.outstanding += len(need)
-	s.queued += len(need)
-	if s.queued > s.peakDepth {
-		s.peakDepth = s.queued
-	}
-	s.gDepth.Record(float64(s.queued))
+	sub.wg.Wait()
+	s.hReq.Observe(float64(time.Since(reqStart)) / float64(time.Millisecond))
+	return sub.results, sub.errs, info, err
 }
 
-func attachFollower(fl *flight, e *elem) {
-	fl.mu.Lock()
-	if fl.done {
-		fl.mu.Unlock()
-		e.sub.resolve(e.idx, replayOf(fl.res), fl.errStr)
+// complete is an executed element's Done callback: it adds the cache
+// lookup the QPM cannot see to the breakdown (TotalMS stays the exact
+// component sum), fills the cache, resolves the element and hands its
+// outcome to the single-flight followers that rode it.
+func (s *Server) complete(e *elem, res *core.Result, errStr string) {
+	if res != nil {
+		res.Timings.CacheLookupMS = e.lookupMS
+		res.Timings.TotalMS = res.Timings.Sum()
+		if e.key != "" {
+			s.cache.Put(e.key, res)
+		}
+	}
+	s.served.Add(1)
+	s.mServed.Inc()
+	if !e.hit {
+		e.sub.resolve(e.idx, res, errStr)
+	}
+	if !e.leader {
 		return
 	}
-	fl.waiters = append(fl.waiters, e)
-	fl.mu.Unlock()
+	s.mu.Lock()
+	followers := s.flights[e.key]
+	delete(s.flights, e.key)
+	s.mu.Unlock()
+	for _, f := range followers {
+		f.sub.resolve(f.idx, replayOf(res), errStr)
+	}
 }
 
 // replayOf copies a result for a second consumer. Like a cache hit, the
@@ -535,272 +324,32 @@ func replayOf(res *core.Result) *core.Result {
 	return &cp
 }
 
-func (s *Server) signal() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// dispatcher is the scheduling loop: it waits for a free dispatch slot,
-// then picks the ready unit of the minimum-pass tenant (weighted stride
-// scheduling), charges the tenant's virtual time, and dispatches it.
-// Acquiring the slot before choosing keeps every queued unit eligible until
-// the moment one can actually run, so scheduling decisions always see the
-// full backlog.
-func (s *Server) dispatcher() {
-	defer s.wg.Done()
-	for {
-		select {
-		case s.sem <- struct{}{}:
-		case <-s.stopc:
-			return
-		}
-		for {
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				return
-			}
-			u, wait := s.nextUnitLocked(time.Now())
-			s.mu.Unlock()
-			if u != nil {
-				s.wg.Add(1)
-				go s.dispatch(u)
-				break
-			}
-			if wait <= 0 {
-				wait = time.Hour
-			}
-			timer := time.NewTimer(wait)
-			select {
-			case <-s.wake:
-				timer.Stop()
-			case <-timer.C:
-			case <-s.stopc:
-				timer.Stop()
-				return
-			}
-		}
-	}
-}
-
-// nextUnitLocked removes and returns the next dispatchable unit, or the
-// time to wait until one matures. A unit is ready when its admission window
-// elapsed, it is full, or the server is draining.
-func (s *Server) nextUnitLocked(now time.Time) (*unit, time.Duration) {
-	var best *tenantQueue
-	wait := time.Duration(-1)
-	for _, t := range s.tenants {
-		if len(t.units) == 0 {
-			continue
-		}
-		u := t.units[0]
-		ready := s.draining || s.cfg.Window <= 0 ||
-			now.Sub(u.enq) >= s.cfg.Window || len(u.elems) >= s.cfg.MaxBatch
-		if !ready {
-			if d := u.enq.Add(s.cfg.Window).Sub(now); wait < 0 || d < wait {
-				wait = d
-			}
-			continue
-		}
-		if best == nil || t.pass < best.pass || (t.pass == best.pass && t.name < best.name) {
-			best = t
-		}
-	}
-	if best == nil {
-		return nil, wait
-	}
-	u := best.units[0]
-	best.units = best.units[1:]
-	if u.groupKey != "" && best.open[u.groupKey] == u {
-		delete(best.open, u.groupKey)
-	}
-	s.vtime = best.pass
-	best.pass += float64(len(u.elems)) / float64(best.weight)
-	s.queued -= len(u.elems)
-	s.gDepth.Record(float64(s.queued))
-	return u, 0
-}
-
-// dispatch runs one unit through the QPM as a single batch and resolves its
-// elements, populating the cache and completing single-flight followers.
-func (s *Server) dispatch(u *unit) {
-	defer s.wg.Done()
-	defer func() { <-s.sem; s.signal() }()
-	start := time.Now()
-	finish := s.rec.Span("serve:dispatch:"+u.spec.Name, "serve/"+s.backend+"/"+u.tenant)
-	bindings := make([]core.Bindings, len(u.elems))
-	for i, e := range u.elems {
-		bindings[i] = e.binding
-	}
-	var results []*core.Result
-	var errs []string
-	id, err := s.qpm.SubmitBatch(u.spec, bindings, u.opts)
-	if err == nil {
-		results, errs, err = s.qpm.WaitBatch(id)
-		if err == nil {
-			// The serving layer owns the task lifecycle: reap the finished
-			// batch so a long-lived daemon's task table stays bounded.
-			_ = s.qpm.Delete(id)
-		}
-	}
-	finish()
-	s.busyNS.Add(int64(time.Since(start)))
-	s.groups.Add(1)
-	s.grpElems.Add(int64(len(u.elems)))
-
-	s.mu.Lock()
-	t := s.tenantLocked(u.tenant)
-	t.outstanding -= len(u.elems)
-	t.served += int64(len(u.elems))
-	s.mu.Unlock()
-	s.served.Add(int64(len(u.elems)))
-	s.mServed.Add(int64(len(u.elems)))
-
-	for i, e := range u.elems {
-		var res *core.Result
-		errStr := ""
-		switch {
-		case err != nil:
-			errStr = err.Error()
-		case errs != nil && errs[i] != "":
-			errStr = errs[i]
-		default:
-			res = results[i]
-		}
-		if res != nil {
-			// Complete the breakdown with the serving-layer components the
-			// QPM cannot see; TotalMS stays the exact component sum.
-			res.Timings.CacheLookupMS = e.lookupMS
-			res.Timings.CoalesceWaitMS = float64(start.Sub(e.enq)) / float64(time.Millisecond)
-			res.Timings.TotalMS = res.Timings.Sum()
-		}
-		if errStr == "" && e.key != "" && res != nil {
-			s.cache.Put(e.key, res)
-		}
-		if e.leader {
-			s.completeFlight(e.key, res, errStr)
-		}
-		e.sub.resolve(e.idx, res, errStr)
-	}
-}
-
-func (s *Server) completeFlight(key string, res *core.Result, errStr string) {
-	s.mu.Lock()
-	fl, ok := s.flights[key]
-	if ok {
-		delete(s.flights, key)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return
-	}
-	fl.mu.Lock()
-	fl.done = true
-	fl.res = res
-	fl.errStr = errStr
-	waiters := fl.waiters
-	fl.waiters = nil
-	fl.mu.Unlock()
-	for _, e := range waiters {
-		e.sub.resolve(e.idx, replayOf(res), errStr)
-	}
-}
-
-func (s *Server) failUnit(u *unit, msg string) {
-	for _, e := range u.elems {
-		if e.leader {
-			s.completeFlight(e.key, nil, msg)
-		}
-		e.sub.resolve(e.idx, nil, msg)
-	}
-	s.mu.Lock()
-	t := s.tenantLocked(u.tenant)
-	t.outstanding -= len(u.elems)
-	s.mu.Unlock()
-}
-
-// Drain closes admission and waits up to timeout for every queued and
-// dispatched element to resolve, reporting whether the layer fully drained.
-// The admission window stops applying so queued work flushes immediately.
-func (s *Server) Drain(timeout time.Duration) bool {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
-	s.signal()
-	deadline := time.Now().Add(timeout)
-	for {
-		s.mu.Lock()
-		idle := s.queued == 0
-		for _, t := range s.tenants {
-			idle = idle && t.outstanding == 0
-		}
-		s.mu.Unlock()
-		if idle {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// Close stops the scheduler, failing still-queued units. In-flight QPM
-// batches are awaited so no dispatch goroutine outlives the server.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	var orphans []*unit
-	for _, t := range s.tenants {
-		orphans = append(orphans, t.units...)
-		t.units = nil
-		t.open = make(map[string]*unit)
-	}
-	s.queued = 0
-	s.mu.Unlock()
-	close(s.stopc)
-	for _, u := range orphans {
-		s.failUnit(u, fmt.Sprintf("serve[%s]: closed", s.backend))
-	}
-	s.wg.Wait()
-}
-
-// TenantStats is one tenant's accounting snapshot.
-type TenantStats struct {
-	Weight      int   `json:"weight"`
-	Quota       int   `json:"quota"`
-	Served      int64 `json:"served"`
-	Shed        int64 `json:"shed"`
-	Outstanding int   `json:"outstanding"`
-}
+// Close stops admission. Work already queued on the QPM still runs and
+// resolves its submissions; draining the QPM (or the session) flushes it.
+func (s *Server) Close() { s.closed.Store(true) }
 
 // Stats is the serving layer's observable state: cache effectiveness,
-// dedup/coalescing activity, shedding, queue depths, and utilization of the
-// dispatch slots since startup.
+// dedup/coalescing activity, shedding, the QPM scheduler's queue depths and
+// tenants, and QRC-worker utilization since the layer started.
 type Stats struct {
-	Backend        string                 `json:"backend"`
-	CacheHits      int64                  `json:"cache_hits"`
-	CacheMisses    int64                  `json:"cache_misses"`
-	CacheLen       int                    `json:"cache_len"`
-	Deduped        int64                  `json:"deduped"`
-	Served         int64                  `json:"served"`
-	Shed           int64                  `json:"shed"`
-	DispatchGroups int64                  `json:"dispatch_groups"`
-	DispatchElems  int64                  `json:"dispatch_elems"`
-	QueueDepth     int                    `json:"queue_depth"`
-	PeakQueueDepth int                    `json:"peak_queue_depth"`
-	UtilizationPct float64                `json:"utilization_pct"`
-	Tenants        map[string]TenantStats `json:"tenants,omitempty"`
+	Backend        string                      `json:"backend"`
+	CacheHits      int64                       `json:"cache_hits"`
+	CacheMisses    int64                       `json:"cache_misses"`
+	CacheLen       int                         `json:"cache_len"`
+	Deduped        int64                       `json:"deduped"`
+	Served         int64                       `json:"served"`
+	Shed           int64                       `json:"shed"`
+	DispatchGroups int64                       `json:"dispatch_groups"`
+	DispatchElems  int64                       `json:"dispatch_elems"`
+	QueueDepth     int                         `json:"queue_depth"`
+	PeakQueueDepth int                         `json:"peak_queue_depth"`
+	UtilizationPct float64                     `json:"utilization_pct"`
+	Tenants        map[string]core.TenantStats `json:"tenants,omitempty"`
 }
 
 // Stats snapshots the serving layer counters.
 func (s *Server) Stats() Stats {
+	sch := s.qpm.SchedStats()
 	st := Stats{
 		Backend:        s.backend,
 		CacheHits:      s.hits.Load(),
@@ -808,27 +357,17 @@ func (s *Server) Stats() Stats {
 		Deduped:        s.deduped.Load(),
 		Served:         s.served.Load(),
 		Shed:           s.shedded.Load(),
-		DispatchGroups: s.groups.Load(),
-		DispatchElems:  s.grpElems.Load(),
-		Tenants:        make(map[string]TenantStats),
+		DispatchGroups: sch.Groups,
+		DispatchElems:  s.served.Load(),
+		QueueDepth:     sch.Queued,
+		PeakQueueDepth: sch.PeakQueued,
+		Tenants:        sch.Tenants,
 	}
 	if s.cache != nil {
 		st.CacheLen = s.cache.Len()
 	}
 	wall := time.Since(s.start)
-	if wall > 0 {
-		st.UtilizationPct = 100 * float64(s.busyNS.Load()) / (float64(wall) * float64(s.cfg.Inflight))
-	}
-	s.mu.Lock()
-	st.QueueDepth = s.queued
-	st.PeakQueueDepth = s.peakDepth
-	for name, t := range s.tenants {
-		st.Tenants[name] = TenantStats{
-			Weight: t.weight, Quota: t.quota,
-			Served: t.served, Shed: t.shed, Outstanding: t.outstanding,
-		}
-	}
-	s.mu.Unlock()
+	st.UtilizationPct = 100 * float64(s.qpm.BusyNS()-s.busy0) / (float64(wall) * float64(s.qpm.Workers()))
 	return st
 }
 

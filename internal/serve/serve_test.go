@@ -470,7 +470,7 @@ func TestPartiallyCachedSeededBatchRecomputesWhole(t *testing.T) {
 
 func TestWeightedFairShareInterleavesTenants(t *testing.T) {
 	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
-	s := newServe(t, f, 1, Config{Inflight: 1})
+	s := newServe(t, f, 1, Config{})
 	s.SetTenant("alice", 3, 0)
 	s.SetTenant("bob", 1, 0)
 
@@ -527,7 +527,7 @@ func TestWeightedFairShareInterleavesTenants(t *testing.T) {
 
 func TestTenantQuotaShedsWithTypedError(t *testing.T) {
 	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
-	s := newServe(t, f, 1, Config{Inflight: 1})
+	s := newServe(t, f, 1, Config{})
 	s.SetTenant("t", 0, 2)
 	sp := testSpec("quota")
 
@@ -545,14 +545,14 @@ func TestTenantQuotaShedsWithTypedError(t *testing.T) {
 	})
 
 	_, _, _, err := s.Exec("t", sp, nil, core.RunOptions{Shots: 1, Seed: 99})
-	if !IsOverloaded(err) {
+	if !core.IsOverloaded(err) {
 		t.Fatalf("over-quota submission returned %v, want ErrOverloaded", err)
 	}
-	if d, ok := RetryAfterHint(err); !ok || d <= 0 {
+	if d, ok := core.RetryAfterHint(err); !ok || d <= 0 {
 		t.Fatalf("shed error carries no retry hint: %v", err)
 	}
 	// The hint rides in the message, so it survives RPC flattening.
-	if d, ok := RetryAfterHint(fmt.Errorf("%s", err.Error())); !ok || d <= 0 {
+	if d, ok := core.RetryAfterHint(fmt.Errorf("%s", err.Error())); !ok || d <= 0 {
 		t.Fatal("flattened shed error lost the retry hint")
 	}
 	// Another tenant is unaffected by t's quota.
@@ -575,7 +575,7 @@ func TestTenantQuotaShedsWithTypedError(t *testing.T) {
 
 func TestGlobalQueueCapShedsWithTypedError(t *testing.T) {
 	f := &fakeExec{deterministic: true, gate: make(chan struct{})}
-	s := newServe(t, f, 1, Config{Inflight: 1, QueueCap: 1})
+	s := newServe(t, f, 1, Config{QueueCap: 1})
 	sp := testSpec("cap")
 
 	var wg sync.WaitGroup
@@ -593,7 +593,7 @@ func TestGlobalQueueCapShedsWithTypedError(t *testing.T) {
 	waitFor(t, "queued element", func() bool { return s.Stats().QueueDepth == 1 })
 
 	_, _, _, err := s.Exec("c", sp, nil, core.RunOptions{Shots: 1, Seed: 3})
-	if !IsOverloaded(err) {
+	if !core.IsOverloaded(err) {
 		t.Fatalf("over-cap submission returned %v, want ErrOverloaded", err)
 	}
 	f.open()
@@ -616,7 +616,7 @@ func TestDrainFlushesWindowAndClosesAdmission(t *testing.T) {
 	}()
 	waitFor(t, "queued unit", func() bool { return s.Stats().QueueDepth == 1 })
 
-	if !s.Drain(5 * time.Second) {
+	if !s.qpm.Drain(5 * time.Second) {
 		t.Fatal("drain timed out with an idle executor")
 	}
 	wg.Wait()
